@@ -23,7 +23,7 @@ precondition buys; a failure there is reported loudly, never masked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ConstructionInvariantError, HypothesisError, OracleLimitError
@@ -39,7 +39,7 @@ from .rowgraph import (
     is_amiable,
     row_contract,
 )
-from .switching import acyclic_t_join, resolve_two_row, swap_rows
+from .switching import acyclic_t_join, resolve_two_row
 
 
 @dataclass
@@ -72,16 +72,6 @@ def identity_f(r: RowGraph) -> dict:
 
 def _next_row(i: int) -> int:
     return i % 3 + 1
-
-
-def _swap23_rearrangement(s: int, columns: set[int]) -> Rearrangement:
-    row_perms = {}
-    for j in range(1, s + 1):
-        perm = {1: 1, 2: 2, 3: 3}
-        if j in columns:
-            perm[2], perm[3] = 3, 2
-        row_perms[j] = perm
-    return Rearrangement(column_perm={j: j for j in range(1, s + 1)}, row_perms=row_perms)
 
 
 # -- the core construction -----------------------------------------------------
@@ -125,7 +115,7 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
         )
         swapped_columns = resolve_two_row(join_two_row)
         trace.record("row23_swap", columns=sorted(swapped_columns))
-        r = swap_rows(r, swapped_columns, 2, 3)
+        r = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped_columns}).apply(r)
         emap = r.edge_map()
         lower = r.edges_within_rows({2, 3})
 
@@ -235,13 +225,15 @@ def construct_amiable_main(
     return coloring, trace, r_final
 
 
-def _solve_with_rearrangement(r: RowGraph, rearr: Rearrangement, trace: ConstructionTrace) -> AmiableColoring:
-    """Run the engine on a rearranged copy and carry the coloring back."""
-    arranged = rearr.apply(r)
-    coloring, final_graph, swapped = _run_engine(arranged, trace)
-    back_inner = _swap23_rearrangement(r.s, swapped).inverse()
-    on_arranged = back_inner.transport_amiable(coloring)
-    result = rearr.inverse().transport_amiable(on_arranged)
+def _solve_with_rows_to_front(
+    r: RowGraph, chosen: dict[int, int], trace: ConstructionTrace
+) -> AmiableColoring:
+    """Swap each column's chosen row with row 1, run the engine on that
+    copy and carry the coloring back (row swaps are their own inverse)."""
+    rearr = Rearrangement.row_swaps(r, {j: (i, 1) for j, i in chosen.items()})
+    coloring, _, swapped = _run_engine(rearr.apply(r), trace)
+    back_inner = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped})
+    result = rearr.transport_amiable(back_inner.transport_amiable(coloring))
     problems = amiable_violations(r, result)
     if problems:
         raise ConstructionInvariantError(
@@ -251,18 +243,6 @@ def _solve_with_rearrangement(r: RowGraph, rearr: Rearrangement, trace: Construc
 
 
 # -- constructive corollaries ---------------------------------------------------
-
-
-def _arrangement_to_row1(r: RowGraph, chosen: dict[int, int]) -> Rearrangement:
-    """Per column, move the chosen row to row 1 (smallest swap)."""
-    row_perms = {}
-    for j in range(1, r.s + 1):
-        src = chosen.get(j, 1)
-        perm = {1: 1, 2: 2, 3: 3}
-        if src != 1:
-            perm[src], perm[1] = 1, src
-        row_perms[j] = perm
-    return Rearrangement(column_perm={j: j for j in range(1, r.s + 1)}, row_perms=row_perms)
 
 
 def construct_amiable_concentrated_row(
@@ -304,9 +284,8 @@ def construct_amiable_concentrated_row(
             )
         idle = [i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0]
         chosen[j] = idle[0]
-    rearr = _arrangement_to_row1(r, chosen)
     trace.record("row_to_front", row=row, chosen_rows=chosen)
-    return _solve_with_rearrangement(r, rearr, trace)
+    return _solve_with_rows_to_front(r, chosen, trace)
 
 
 def _extract_columns(r: RowGraph, cols: Sequence[int]) -> tuple[RowGraph, dict[int, int]]:
@@ -367,7 +346,7 @@ def _solve_loose_part(r: RowGraph, special: int | None, trace: ConstructionTrace
         anchor_edge=None if anchor_edge is None else anchor_edge.eid,
         chosen_rows=chosen,
     )
-    return _solve_with_rearrangement(r, _arrangement_to_row1(r, chosen), trace)
+    return _solve_with_rows_to_front(r, chosen, trace)
 
 
 def _shortest_cross_column_path(r: RowGraph, p: int, q: int) -> list | None:
@@ -427,7 +406,7 @@ def construct_amiable_two_busy_columns(
                 raise HypothesisError(f"column {j} must contain two isolated vertices")
             chosen[j] = idle[0]
         trace.record("path_to_front", path=[list(v) for v in path])
-        return _solve_with_rearrangement(r, _arrangement_to_row1(r, chosen), trace)
+        return _solve_with_rows_to_front(r, chosen, trace)
 
     # no path: split along connected pieces of the column contraction
     rc = row_contract(r)
@@ -788,8 +767,6 @@ def normalize_frame_coloring(
     come first, then the cycle components inside the witness piece.
     Returns (relabeled frame, adjusted coloring, h column set, k).
     """
-    from .frame import validate_frame
-
     trace = trace or ConstructionTrace()
     if witness.color != 1:
         perm = {witness.color: 1, 1: witness.color}
@@ -799,10 +776,7 @@ def normalize_frame_coloring(
 
     k_labels = set(frame.k_labels())
     anchors = set(k_labels) if k_labels else set(witness.h_labels)
-    label_of = {}
-    for comp in frame.components:
-        for v in comp.vertices:
-            label_of[v] = comp.label
+    label_of = frame.label_of
     comp_by_label = {c.label: c for c in frame.components}
 
     h_labels, _ = _color1_component(frame, coloring, anchors)
@@ -848,8 +822,12 @@ def normalize_frame_coloring(
     h_c = sorted(l for l in h_labels if l not in k_labels)
     rest = sorted(l for l in comp_by_label if l not in h_labels and l not in k_labels)
     order = k_sorted + h_c + rest
-    labeling = [comp_by_label[l].vertices for l in order]
-    new_frame = validate_frame(frame.host, frame.frame_edges, labeling=labeling)
+    new_frame = replace(
+        frame,
+        components=tuple(
+            replace(comp_by_label[l], label=i) for i, l in enumerate(order, start=1)
+        ),
+    )
     k = len(k_sorted)
     h_columns = frozenset(range(1, k + len(h_c) + 1))
     trace.record(

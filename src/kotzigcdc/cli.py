@@ -47,7 +47,6 @@ class RunReport:
     name: str
     outcome: str = "pending"  # verified | no_frame | no_witness | invariant_error
     frames_tried: int = 0
-    colorings_tried: int = 0
     frame: dict | None = None
     certificate: dict | None = None
     trace: dict | None = None
@@ -139,6 +138,8 @@ def _strategy_from_args(args) -> tuple[str, list | None]:
         if not args.frame_file:
             raise GraphFormatError("--frame-strategy file needs --frame-file")
         obj = json.loads(Path(args.frame_file).read_text())
+        if not isinstance(obj, dict) or "frame_edges" not in obj:
+            raise GraphFormatError(f"{args.frame_file} has no frame_edges")
         return "user_supplied", obj["frame_edges"]
     return args.frame_strategy.replace("-", "_"), None
 
@@ -233,6 +234,8 @@ def cmd_scan_rows(args) -> int:
 
 
 def _corpus_worker(payload):
+    """Run one corpus graph; a two_factor miss is retried with exhaustive.
+    The returned report's seconds cover both attempts."""
     name, graph_json, strategy = payload
     from .io import graph_from_json
 
@@ -243,8 +246,9 @@ def _corpus_worker(payload):
             retry = run_pipeline(g, name=name, strategy="exhaustive")
         except OracleLimitError:
             return report
-        if retry.outcome == "verified":
-            return retry
+        kept = retry if retry.outcome == "verified" else report
+        kept.seconds = report.seconds + retry.seconds
+        return kept
     return report
 
 

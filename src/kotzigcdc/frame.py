@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FrameError, NotCubicError, OracleLimitError
@@ -29,7 +30,6 @@ from .multigraph import (
     Vertex,
     VertexMap,
     components,
-    is_connected,
     is_eulerian,
     sorted_edge_ids,
     sorted_vertices,
@@ -50,21 +50,31 @@ class FrameComponent:
 
 @dataclass(frozen=True)
 class Frame:
+    """A frame built and checked by validate_frame.  Later layers read its
+    components and what the properties below derive from them."""
+
     host: Multigraph
     frame_edges: frozenset
     components: tuple[FrameComponent, ...]
-    chords: frozenset
-    warnings: tuple[str, ...] = ()
 
     @property
     def s(self) -> int:
         return len(self.components)
 
-    def component_of(self, v: Vertex) -> FrameComponent:
-        for comp in self.components:
-            if v in comp.vertices:
-                return comp
-        raise KeyError(v)
+    @cached_property
+    def label_of(self) -> dict:
+        """Host vertex -> label of the component that holds it."""
+        return {v: comp.label for comp in self.components for v in comp.vertices}
+
+    @cached_property
+    def chords(self) -> frozenset:
+        """Non-frame edges with both ends in one component."""
+        label_of = self.label_of
+        return frozenset(
+            eid
+            for eid, a, b in self.host.edges()
+            if eid not in self.frame_edges and label_of[a] == label_of[b]
+        )
 
     def free_edges(self) -> list[EdgeId]:
         """Host edges outside the frame and outside the chord set."""
@@ -113,18 +123,6 @@ class Witness:
     h_edges: frozenset
 
 
-def has_bridge(g: Multigraph) -> bool:
-    for eid in g.edge_ids:
-        if g.is_loop(eid):
-            continue
-        rest = [e for e in g.edge_ids if e != eid]
-        if len(components(g.subgraph_of_edges(rest, keep_vertices=g.vertices))) > len(
-            components(g)
-        ):
-            return True
-    return False
-
-
 def validate_frame(
     g: Multigraph,
     frame_edges: Iterable[EdgeId],
@@ -132,19 +130,13 @@ def validate_frame(
 ) -> Frame:
     """Check an edge set against the frame definition and classify it.
 
-    The host must be cubic; 2-connectivity is only advisory (a warning in
-    the result) so that small multigraph experiments still run.
+    The host must be cubic.
     """
     if not g.is_cubic():
         raise NotCubicError("frame host must be 3-regular")
     frame_edges = frozenset(frame_edges)
     for eid in frame_edges:
         g.endpoints(eid)
-    warnings = []
-    if not is_connected(g):
-        warnings.append("host graph is not connected")
-    elif has_bridge(g):
-        warnings.append("host graph has a bridge (not 2-connected)")
 
     sub = g.subgraph_of_edges(frame_edges, keep_vertices=g.vertices)
     comps = components(sub)
@@ -186,22 +178,7 @@ def validate_frame(
             )
         )
 
-    vertex_comp = {}
-    for comp in out:
-        for v in comp.vertices:
-            vertex_comp[v] = comp.label
-    chords = frozenset(
-        eid
-        for eid, a, b in g.edges()
-        if eid not in frame_edges and vertex_comp[a] == vertex_comp[b]
-    )
-    frame = Frame(
-        host=g,
-        frame_edges=frame_edges,
-        components=tuple(out),
-        chords=chords,
-        warnings=tuple(warnings),
-    )
+    frame = Frame(host=g, frame_edges=frame_edges, components=tuple(out))
     # host is cubic, so every 2-valent frame vertex has exactly one free edge
     for v in g.vertices:
         frame_deg = sum(
@@ -215,19 +192,16 @@ def validate_frame(
 def contract_frame(f: Frame) -> ContractedFrame:
     """One vertex per component; loops (chords) are dropped.  The result is
     always eulerian because components have even order."""
-    vertex_comp = {}
-    for comp in f.components:
-        for v in comp.vertices:
-            vertex_comp[v] = comp.label
+    label_of = f.label_of
     edges = []
     for eid, a, b in f.host.edges():
         if eid in f.frame_edges or eid in f.chords:
             continue
-        edges.append((eid, vertex_comp[a], vertex_comp[b]))
+        edges.append((eid, label_of[a], label_of[b]))
     graph = Multigraph([c.label for c in f.components], edges)
     assert is_eulerian(graph), "frame contraction must be eulerian"
     kinds = {c.label: c.kind for c in f.components}
-    return ContractedFrame(graph=graph, vertex_kind=kinds, vertex_map=VertexMap(vertex_comp))
+    return ContractedFrame(graph=graph, vertex_kind=kinds, vertex_map=VertexMap(label_of))
 
 
 def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
@@ -427,13 +401,10 @@ def _perfect_matchings(g: Multigraph) -> Iterator[frozenset]:
 
 def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     """2-factors (as complements of perfect matchings) whose cycles are all
-    even."""
-    seen = set()
+    even.  Distinct matchings have distinct complements, so no factor
+    repeats."""
     for matching in _perfect_matchings(g):
         factor = frozenset(e for e in g.edge_ids if e not in matching)
-        if factor in seen:
-            continue
-        seen.add(factor)
         sub = g.subgraph_of_edges(factor, keep_vertices=g.vertices)
         if all(len(comp) % 2 == 0 for comp in components(sub)):
             yield factor

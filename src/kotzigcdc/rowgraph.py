@@ -40,15 +40,9 @@ class RowEdge:
 class RowGraph:
     """Grid graph with independent columns; rows is 2 or 3."""
 
-    __slots__ = ("s", "rows", "edges", "column_kinds", "_at")
+    __slots__ = ("s", "rows", "edges", "_at")
 
-    def __init__(
-        self,
-        s: int,
-        edges: Iterable[RowEdge | tuple],
-        rows: int = 3,
-        column_kinds: tuple | None = None,
-    ):
+    def __init__(self, s: int, edges: Iterable[RowEdge | tuple], rows: int = 3):
         self.s = s
         self.rows = rows
         norm: list[RowEdge] = []
@@ -58,7 +52,6 @@ class RowGraph:
                 e = RowEdge(eid, tuple(a), tuple(b), rest[0] if rest else None)
             norm.append(e)
         self.edges = tuple(norm)
-        self.column_kinds = column_kinds
         self._at: dict[GridVertex, list[RowEdge]] = {v: [] for v in self.vertices()}
         seen = set()
         for e in self.edges:
@@ -133,10 +126,7 @@ def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
     endpoint is a 2-valent frame vertex and lands in (its color, its
     component label).  Edges keep the host edge id as id and origin.
     """
-    label_of = {}
-    for comp in frame.components:
-        for v in comp.vertices:
-            label_of[v] = comp.label
+    label_of = frame.label_of
     edges = []
     for eid in frame.free_edges():
         v, w = g.endpoints(eid)
@@ -147,8 +137,7 @@ def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
         a = (cv, label_of[v])
         b = (cw, label_of[w])
         edges.append(RowEdge(eid, a, b, origin=eid))
-    kinds = tuple(comp.kind for comp in frame.components)
-    return RowGraph(frame.s, edges, rows=3, column_kinds=kinds)
+    return RowGraph(frame.s, edges, rows=3)
 
 
 # -- rearrangements -----------------------------------------------------------
@@ -166,11 +155,17 @@ class Rearrangement:
     row_perms: dict
 
     @staticmethod
-    def identity(s: int, rows: int = 3) -> "Rearrangement":
-        return Rearrangement(
-            column_perm={j: j for j in range(1, s + 1)},
-            row_perms={j: {i: i for i in range(1, rows + 1)} for j in range(1, s + 1)},
-        )
+    def row_swaps(r: RowGraph, swaps: dict[int, tuple[int, int]]) -> "Rearrangement":
+        """Columns stay put; column j swaps the two rows swaps[j], every
+        other column keeps its rows.  The result is its own inverse."""
+        row_perms = {}
+        for j in range(1, r.s + 1):
+            perm = {i: i for i in range(1, r.rows + 1)}
+            if j in swaps:
+                a, b = swaps[j]
+                perm[a], perm[b] = b, a
+            row_perms[j] = perm
+        return Rearrangement(column_perm={j: j for j in range(1, r.s + 1)}, row_perms=row_perms)
 
     def map_vertex(self, v: GridVertex) -> GridVertex:
         i, j = v
@@ -189,13 +184,7 @@ class Rearrangement:
             RowEdge(e.eid, self.map_vertex(e.a), self.map_vertex(e.b), e.origin)
             for e in r.edges
         ]
-        kinds = None
-        if r.column_kinds is not None:
-            kinds = [None] * r.s
-            for old, new in self.column_perm.items():
-                kinds[new - 1] = r.column_kinds[old - 1]
-            kinds = tuple(kinds)
-        return RowGraph(r.s, edges, rows=r.rows, column_kinds=kinds)
+        return RowGraph(r.s, edges, rows=r.rows)
 
     def transport_amiable(self, a: "AmiableColoring") -> "AmiableColoring":
         """Carry a coloring along the rearrangement (edge ids are stable)."""

@@ -21,7 +21,7 @@ from .multigraph import (
     sorted_vertices,
     _rooted_forest,
 )
-from .rowgraph import RowGraph, Rearrangement, row_contract
+from .rowgraph import RowGraph, row_contract
 
 RED = "red"
 BLUE = "blue"
@@ -92,20 +92,6 @@ def resolve_two_row(r2: RowGraph) -> set[int]:
         rb = flip[e.b[0]] if e.b[1] in swaps else e.b[0]
         assert ra == rb, "row swap failed to straighten a cross edge"
     return swaps
-
-
-def swap_rows(r: RowGraph, columns: set[int], row_a: int, row_b: int) -> RowGraph:
-    """Rearrangement swapping two rows inside the given columns."""
-    row_perms = {}
-    for j in range(1, r.s + 1):
-        perm = {i: i for i in range(1, r.rows + 1)}
-        if j in columns:
-            perm[row_a], perm[row_b] = row_b, row_a
-        row_perms[j] = perm
-    re = Rearrangement(
-        column_perm={j: j for j in range(1, r.s + 1)}, row_perms=row_perms
-    )
-    return re.apply(r)
 
 
 def acyclic_t_join(g: Multigraph, t: Iterable[Vertex]) -> set[EdgeId]:

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from kotzigcdc.catalog import k4, petersen, prism, theta_graph
-from kotzigcdc.cli import main, run_pipeline
-from kotzigcdc.io import save_graph_json
+from kotzigcdc import cli
+from kotzigcdc.cli import RunReport, main, run_pipeline
+from kotzigcdc.io import graph_to_json, save_graph_json
 
 
 @pytest.fixture
@@ -95,6 +96,18 @@ def test_pipeline_invalid_frame_file(tmp_path, capsys):
     ]) == 3
 
 
+def test_pipeline_frame_file_without_frame_edges(tmp_path, capsys):
+    gpath = tmp_path / "k4.json"
+    save_graph_json(k4(), gpath)
+    fpath = tmp_path / "frame.json"
+    fpath.write_text(json.dumps({"components": []}))
+    assert main([
+        "pipeline", str(gpath), "--frame-strategy", "file", "--frame-file", str(fpath),
+    ]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
 def test_scan_rows_small(capsys):
     assert main(["scan-rows", "--columns", "2", "--max-edges", "4"]) == 0
     out = capsys.readouterr().out
@@ -135,6 +148,20 @@ def test_corpus_generated_small(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["instances"] == 3  # theta + the two 4-vertex graphs
     assert out["outcomes"].get("verified") == 3
+
+
+@pytest.mark.parametrize("retry_outcome", ["verified", "no_frame"])
+def test_corpus_worker_reports_both_attempts(monkeypatch, retry_outcome):
+    seconds = {"two_factor": 0.25, "exhaustive": 0.5}
+    outcomes = {"two_factor": "no_frame", "exhaustive": retry_outcome}
+
+    def fake_pipeline(g, name="graph", strategy="two_factor", **kwargs):
+        return RunReport(name=name, outcome=outcomes[strategy], seconds=seconds[strategy])
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_pipeline)
+    report = cli._corpus_worker(("theta", graph_to_json(theta_graph()), "two_factor"))
+    assert report.outcome == retry_outcome
+    assert report.seconds == 0.75
 
 
 def test_run_pipeline_reports_deterministic():

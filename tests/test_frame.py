@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, petersen, prism, theta_graph
+from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import FrameError, NotCubicError, OracleLimitError
 from kotzigcdc.frame import (
     C_KIND,
@@ -12,6 +13,7 @@ from kotzigcdc.frame import (
     check_frame_sufficiency,
     contract_frame,
     enumerate_frame_colorings,
+    even_two_factors,
     find_well_connected_frame_coloring,
     frame_from_json,
     frame_to_json,
@@ -314,6 +316,25 @@ def test_search_two_factor_petersen_empty():
 
         assert all(len(c) % 2 == 1 for c in components(sub))  # two 5-cycles
     assert list(search_frames(g, "two_factor")) == []
+
+
+def test_even_two_factors_are_distinct_and_complete():
+    """even_two_factors keeps no seen-set: distinct perfect matchings have
+    distinct complements.  Checked against brute-force matchings, parallel
+    edges and loops included."""
+    from kotzigcdc.multigraph import components
+
+    for g in [prism(), cube_graph(), petersen(), *cubic_corpus(8)]:
+        factors = list(even_two_factors(g))
+        assert len(set(factors)) == len(factors)
+        expected = set()
+        for m in itertools.combinations(g.edge_ids, g.num_vertices() // 2):
+            if len({v for e in m for v in g.endpoints(e)}) == g.num_vertices():
+                factor = frozenset(e for e in g.edge_ids if e not in m)
+                sub = g.subgraph_of_edges(factor, keep_vertices=g.vertices)
+                if all(len(c) % 2 == 0 for c in components(sub)):
+                    expected.add(factor)
+        assert set(factors) == expected
 
 
 def test_search_exhaustive_petersen_finds_spanning_subdivision():
