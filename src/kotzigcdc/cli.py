@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -45,7 +46,7 @@ class RunReport:
     re-verifies when the outcome says so."""
 
     name: str
-    outcome: str = "pending"  # verified | no_frame | no_witness | invariant_error
+    outcome: str = "pending"  # verified | no_frame | no_witness | invariant_error | input_error
     frames_tried: int = 0
     frame: dict | None = None
     certificate: dict | None = None
@@ -140,6 +141,8 @@ def _strategy_from_args(args) -> tuple[str, list | None]:
         obj = json.loads(Path(args.frame_file).read_text())
         if not isinstance(obj, dict) or "frame_edges" not in obj:
             raise GraphFormatError(f"{args.frame_file} has no frame_edges")
+        if not isinstance(obj["frame_edges"], list):
+            raise GraphFormatError(f"{args.frame_file}: frame_edges is not a list")
         return "user_supplied", obj["frame_edges"]
     return args.frame_strategy.replace("-", "_"), None
 
@@ -159,7 +162,7 @@ def cmd_pipeline(args) -> int:
             frame_edges=frame_edges,
             collect_trace=bool(args.trace),
         )
-    except (FrameError, NotCubicError, OracleLimitError) as exc:
+    except (FrameError, GraphFormatError, NotCubicError, OracleLimitError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.trace and report.trace is not None:
@@ -235,60 +238,97 @@ def cmd_scan_rows(args) -> int:
 
 def _corpus_worker(payload):
     """Run one corpus graph; a two_factor miss is retried with exhaustive.
-    The returned report's seconds cover both attempts."""
+    The returned report's seconds cover both attempts.  A graph the
+    pipeline rejects as input ends ``input_error`` with the message, so one
+    bad instance never ends the run."""
     name, graph_json, strategy = payload
     from .io import graph_from_json
 
-    g = graph_from_json(graph_json)
-    report = run_pipeline(g, name=name, strategy=strategy)
-    if report.outcome in ("no_frame", "no_witness") and strategy == "two_factor":
-        try:
-            retry = run_pipeline(g, name=name, strategy="exhaustive")
-        except OracleLimitError:
-            return report
-        kept = retry if retry.outcome == "verified" else report
-        kept.seconds = report.seconds + retry.seconds
-        return kept
-    return report
+    start = time.perf_counter()
+    try:
+        g = graph_from_json(graph_json)
+        report = run_pipeline(g, name=name, strategy=strategy)
+        if report.outcome in ("no_frame", "no_witness") and strategy == "two_factor":
+            try:
+                retry = run_pipeline(g, name=name, strategy="exhaustive")
+            except OracleLimitError:
+                return report
+            kept = retry if retry.outcome == "verified" else report
+            kept.seconds = report.seconds + retry.seconds
+            return kept
+        return report
+    except (FrameError, GraphFormatError, NotCubicError) as exc:
+        return RunReport(
+            name=name,
+            outcome="input_error",
+            error=str(exc),
+            seconds=time.perf_counter() - start,
+        )
+
+
+def _seconds_by_outcome(reports) -> dict:
+    """Per outcome: instance count, and the sum, median and 95th percentile
+    (nearest rank) of the instances' seconds."""
+    times: dict = {}
+    for rep in reports:
+        times.setdefault(rep.outcome, []).append(rep.seconds)
+    out = {}
+    for outcome, values in sorted(times.items()):
+        values.sort()
+        p50, p95 = (values[max(0, math.ceil(q * len(values)) - 1)] for q in (0.5, 0.95))
+        out[outcome] = {
+            "count": len(values),
+            "seconds_sum": round(sum(values), 4),
+            "seconds_p50": round(p50, 4),
+            "seconds_p95": round(p95, 4),
+        }
+    return out
 
 
 def cmd_corpus(args) -> int:
     jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
+    strategy = args.frame_strategy.replace("-", "_")
     tasks = []
-    try:
-        if args.directory:
-            paths = sorted(Path(args.directory).glob("*"))
-            for path in paths:
-                if path.suffix not in (".json", ".g6", ".s6", ".graph6", ".txt"):
-                    continue
-                for idx, g in enumerate(load_graphs(path)):
-                    tasks.append((f"{path.name}[{idx}]", graph_to_json(g), args.frame_strategy.replace("-", "_")))
-        else:
-            for idx, g in enumerate(cubic_corpus(args.max_vertices)):
-                tasks.append((f"cubic_{g.num_vertices()}v_{idx}", graph_to_json(g), args.frame_strategy.replace("-", "_")))
-    except (GraphFormatError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    unreadable = []  # a file that does not load is one input_error instance
+    if args.directory:
+        if not Path(args.directory).is_dir():
+            print(f"input error: {args.directory} is not a directory", file=sys.stderr)
+            return EXIT_INPUT
+        for path in sorted(Path(args.directory).glob("*")):
+            if path.suffix not in (".json", ".g6", ".s6", ".graph6", ".txt"):
+                continue
+            try:
+                graphs = load_graphs(path)
+            except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+                unreadable.append(RunReport(name=path.name, outcome="input_error", error=str(exc)))
+                continue
+            for idx, g in enumerate(graphs):
+                tasks.append((f"{path.name}[{idx}]", graph_to_json(g), strategy))
+    else:
+        for idx, g in enumerate(cubic_corpus(args.max_vertices)):
+            tasks.append((f"cubic_{g.num_vertices()}v_{idx}", graph_to_json(g), strategy))
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            reports = pool.map(_corpus_worker, tasks)
+            reports = unreadable + pool.map(_corpus_worker, tasks)
     else:
-        reports = [_corpus_worker(t) for t in tasks]
-    summary = {}
-    for rep in reports:
-        summary[rep.outcome] = summary.get(rep.outcome, 0) + 1
+        reports = unreadable + [_corpus_worker(t) for t in tasks]
+    by_outcome = _seconds_by_outcome(reports)
     aggregate = {
         "instances": len(reports),
-        "outcomes": dict(sorted(summary.items())),
+        "outcomes": {outcome: row["count"] for outcome, row in by_outcome.items()},
+        "seconds_by_outcome": by_outcome,
         "reports": [r.to_json() for r in reports],
     }
     if args.report:
         Path(args.report).write_text(json.dumps(aggregate, indent=2, default=repr) + "\n")
     print(json.dumps({"instances": len(reports), "outcomes": aggregate["outcomes"]}, indent=2))
-    bad = summary.get("invariant_error", 0)
-    return EXIT_INVALID if bad else EXIT_OK
+    if "invariant_error" in by_outcome:
+        return EXIT_INVALID
+    if "input_error" in by_outcome:
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,10 +29,11 @@ from .multigraph import (
     Multigraph,
     Vertex,
     VertexMap,
+    _rooted_forest,
+    bridges,
     components,
     is_eulerian,
     sorted_edge_ids,
-    sorted_vertices,
 )
 
 C_KIND = "C"
@@ -375,39 +376,109 @@ def check_frame_sufficiency(cf: ContractedFrame) -> FrameSufficiency:
 # -- frame search -------------------------------------------------------------
 
 
-def _perfect_matchings(g: Multigraph) -> Iterator[frozenset]:
-    verts = sorted_vertices(g)
-
-    def extend(covered: set, chosen: list) -> Iterator[frozenset]:
-        free = [v for v in verts if v not in covered]
-        if not free:
-            yield frozenset(chosen)
-            return
-        v = free[0]
-        for eid in sorted_edge_ids(g.incident_edges(v)):
-            w = g.other_end(eid, v)
-            if w == v or w in covered:
-                continue
-            covered.add(v)
-            covered.add(w)
-            chosen.append(eid)
-            yield from extend(covered, chosen)
-            chosen.pop()
-            covered.remove(v)
-            covered.remove(w)
-
-    yield from extend(set(), [])
-
-
 def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
-    """2-factors (as complements of perfect matchings) whose cycles are all
-    even.  Distinct matchings have distinct complements, so no factor
-    repeats."""
-    for matching in _perfect_matchings(g):
-        factor = frozenset(e for e in g.edge_ids if e not in matching)
-        sub = g.subgraph_of_edges(factor, keep_vertices=g.vertices)
-        if all(len(comp) % 2 == 0 for comp in components(sub)):
-            yield factor
+    """Every 2-factor of a cubic graph whose cycles are all even, each
+    once, in an order fixed for each input.
+
+    Such a factor is the complement of a perfect matching M, and M with the
+    two alternating classes of the factor is a Tait colouring.  M is chosen
+    one vertex at a time, at the first vertex (in breadth-first order) with
+    the fewest edges left to choose from, and each choice is propagated:
+
+    - a vertex with an edge in M forces its other two edges out of M;
+    - a vertex with two edges out of M forces its third edge into M;
+    - the edges out of M form paths whose ends and length parity are kept,
+      so a path that closes into an odd cycle is cut off at once.
+    """
+    if g.has_loops():
+        return  # a loop outside M is a cycle of length one
+    order = list(_rooted_forest(g)[0])  # keys in breadth-first order
+    idx = {v: i for i, v in enumerate(order)}
+    eids = sorted_edge_ids(g.edge_ids)
+    ends = [tuple(idx[v] for v in g.endpoints(e)) for e in eids]
+    at: list[list[int]] = [[] for _ in order]
+    for k, (a, b) in enumerate(ends):
+        at[a].append(k)
+        at[b].append(k)
+
+    in_m: list = [None] * len(eids)  # True in M, False in the factor
+    matched = [False] * len(order)
+    out_deg = [0] * len(order)  # factor edges at a vertex
+    path_end = list(range(len(order)))  # the other end of a factor path
+    odd_path = [False] * len(order)  # parity of that path's length
+    trail: list = []  # (array, index, old value), undone on backtrack
+
+    def put(arr, i, value):
+        trail.append((arr, i, arr[i]))
+        arr[i] = value
+
+    def decide(k0: int, into_m: bool) -> bool:
+        """Set one edge and everything it forces; False on a conflict."""
+        queue = [(k0, into_m)]
+        while queue:
+            k, into_m = queue.pop()
+            if in_m[k] is not None:
+                if in_m[k] != into_m:
+                    return False
+                continue
+            put(in_m, k, into_m)
+            a, b = ends[k]
+            if into_m:
+                for v in (a, b):
+                    if matched[v]:
+                        return False
+                    put(matched, v, True)
+                    queue.extend((j, False) for j in at[v] if in_m[j] is None)
+                continue
+            for v in (a, b):
+                if out_deg[v] == 2:
+                    return False
+                put(out_deg, v, out_deg[v] + 1)
+                if out_deg[v] == 2 and not matched[v]:
+                    queue.extend((j, True) for j in at[v] if in_m[j] is None)
+            end_a, end_b = path_end[a], path_end[b]
+            if end_a == b:  # a and b end one path, and edge k closes it
+                if not odd_path[a]:
+                    return False
+            else:
+                parity = not (odd_path[a] ^ odd_path[b])
+                put(path_end, end_a, end_b)
+                put(path_end, end_b, end_a)
+                put(odd_path, end_a, parity)
+                put(odd_path, end_b, parity)
+        return True
+
+    def choices() -> list[int] | None:
+        """The undecided edges at the vertex to branch on, or None when
+        every edge is decided."""
+        first = None
+        for v, edges in enumerate(at):
+            if matched[v]:
+                continue
+            free = [k for k in edges if in_m[k] is None]
+            if len(free) < 3:
+                return free
+            if first is None:
+                first = free
+        return first
+
+    # each frame: [edges to try in M, next one to try, trail length at entry]
+    stack = [[choices(), 0, 0]]
+    while stack:
+        top = stack[-1]
+        options, i, mark = top
+        while len(trail) > mark:
+            arr, j, old = trail.pop()
+            arr[j] = old
+        if options is None:
+            yield frozenset(eids[k] for k, m in enumerate(in_m) if not m)
+            stack.pop()
+        elif i == len(options):
+            stack.pop()
+        else:
+            top[1] = i + 1
+            if decide(options[i], True):
+                stack.append([choices(), 0, len(trail)])
 
 
 def _degree_constrained_subsets(g: Multigraph) -> Iterator[frozenset]:
@@ -466,34 +537,41 @@ def search_frames(
 ) -> Iterator[Frame]:
     """Enumerate valid frames of a cubic graph.
 
-    two_factor: complements of perfect matchings with all cycles even.
-    exhaustive: all spanning edge subsets with degrees in {2,3} that
-    classify, guarded by max_edges.  user_supplied: validate frame_edges.
+    two_factor: the even 2-factors.  exhaustive: all spanning edge subsets
+    with degrees in {2,3} that classify, guarded by max_edges.
+    user_supplied: validate frame_edges.
+
+    Both searches check the host once.  A host with a bridge yields no
+    frame: every frame component is 2-edge-connected (cycles, and
+    subdivisions of hamiltonian Kotzig graphs), so no component holds the
+    bridge, yet each side of a bridge of a cubic graph has odd order and
+    the components have even order.
     """
     if strategy == "user_supplied":
         if frame_edges is None:
             raise ValueError("user_supplied strategy needs frame_edges")
         yield validate_frame(g, frame_edges)
         return
+    if strategy not in ("two_factor", "exhaustive"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not g.is_cubic():
+        raise NotCubicError("frame host must be 3-regular")
+    if bridges(g):
+        return
     if strategy == "two_factor":
+        # every even 2-factor is a frame whose components are all C
         for factor in even_two_factors(g):
-            try:
-                yield validate_frame(g, factor)
-            except FrameError:
-                continue
+            yield validate_frame(g, factor)
         return
-    if strategy == "exhaustive":
-        if g.num_edges() > max_edges:
-            raise OracleLimitError(
-                f"exhaustive frame search refused: {g.num_edges()} edges > {max_edges}"
-            )
-        for subset in _degree_constrained_subsets(g):
-            try:
-                yield validate_frame(g, subset)
-            except FrameError:
-                continue
-        return
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if g.num_edges() > max_edges:
+        raise OracleLimitError(
+            f"exhaustive frame search refused: {g.num_edges()} edges > {max_edges}"
+        )
+    for subset in _degree_constrained_subsets(g):
+        try:
+            yield validate_frame(g, subset)
+        except FrameError:
+            continue
 
 
 # -- serialization -------------------------------------------------------------

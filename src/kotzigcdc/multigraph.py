@@ -177,6 +177,44 @@ def is_connected(g: Multigraph) -> bool:
     return len(components(g)) <= 1
 
 
+def bridges(g: Multigraph) -> set[EdgeId]:
+    """Edges whose removal disconnects their component, in one iterative
+    depth-first pass (Tarjan, "A note on finding the bridges of a graph",
+    IPL 2, 1974).
+
+    A vertex skips the edge it was entered by, by id, so a parallel edge
+    leads back up the tree and no edge of a digon is a bridge.  A loop is
+    never a bridge.
+    """
+    index: dict[Vertex, int] = {}
+    low: dict[Vertex, int] = {}
+    found: set[EdgeId] = set()
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [(root, None, iter(g.incident_edges(root)))]
+        while stack:
+            v, via, edges = stack[-1]
+            for eid in edges:
+                if eid == via:
+                    continue
+                w = g.other_end(eid, v)
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, eid, iter(g.incident_edges(w))))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > index[u]:
+                        found.add(via)
+    return found
+
+
 def is_eulerian(g: Multigraph) -> bool:
     """True iff every vertex has even degree (connectivity not required)."""
     return all(g.degree(v) % 2 == 0 for v in g.vertices)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kotzigcdc.catalog import k4, petersen, prism, theta_graph
+from kotzigcdc.catalog import cycle_graph, k4, petersen, prism, theta_graph
 from kotzigcdc import cli
 from kotzigcdc.cli import RunReport, main, run_pipeline
 from kotzigcdc.io import graph_to_json, save_graph_json
@@ -108,6 +108,21 @@ def test_pipeline_frame_file_without_frame_edges(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "frame_file", [{"frame_edges": [99]}, {"frame_edges": 5}], ids=["unknown_edge", "not_a_list"]
+)
+def test_pipeline_bad_frame_edges(tmp_path, capsys, frame_file):
+    gpath = tmp_path / "k4.json"
+    save_graph_json(k4(), gpath)
+    fpath = tmp_path / "frame.json"
+    fpath.write_text(json.dumps(frame_file))
+    assert main([
+        "pipeline", str(gpath), "--frame-strategy", "file", "--frame-file", str(fpath),
+    ]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
 def test_scan_rows_small(capsys):
     assert main(["scan-rows", "--columns", "2", "--max-edges", "4"]) == 0
     out = capsys.readouterr().out
@@ -141,6 +156,38 @@ def test_corpus_directory(tmp_path, capsys):
         g = load_graphs(d / name)[0]
         cert = CdcCertificate.from_json(rep["certificate"])
         assert verify_cdc(g, cert).valid
+
+
+def test_corpus_isolates_a_non_cubic_instance(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    save_graph_json(cycle_graph(4), d / "c4.json")
+    save_graph_json(k4(), d / "k4.json")
+    report = tmp_path / "agg.json"
+    assert main(["corpus", str(d), "--report", str(report)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    agg = json.loads(report.read_text())
+    assert agg["outcomes"] == {"input_error": 1, "verified": 1}
+    by_name = {rep["name"]: rep for rep in agg["reports"]}
+    assert by_name["c4.json[0]"]["outcome"] == "input_error"
+    assert "3-regular" in by_name["c4.json[0]"]["error"]
+    assert by_name["k4.json[0]"]["outcome"] == "verified"
+    for outcome, row in agg["seconds_by_outcome"].items():
+        assert row["count"] == agg["outcomes"][outcome]
+        assert 0 <= row["seconds_p50"] <= row["seconds_p95"] <= row["seconds_sum"]
+
+
+def test_corpus_isolates_an_unreadable_file(tmp_path, capsys):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    (d / "bad.json").write_text("{\"vertices\": [0]}")
+    (d / "broken.json").write_text("{not json")
+    save_graph_json(k4(), d / "k4.json")
+    report = tmp_path / "agg.json"
+    assert main(["corpus", str(d), "--report", str(report)]) == 3
+    agg = json.loads(report.read_text())
+    assert agg["outcomes"] == {"input_error": 2, "verified": 1}
+    assert main(["corpus", str(tmp_path / "missing")]) == 3
 
 
 def test_corpus_generated_small(capsys):

@@ -1,8 +1,11 @@
 import itertools
 
+import networkx as nx
 import pytest
 
+from kotzigcdc import frame as frame_module
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, petersen, prism, theta_graph
+from kotzigcdc.cli import run_pipeline
 from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import FrameError, NotCubicError, OracleLimitError
 from kotzigcdc.frame import (
@@ -22,7 +25,63 @@ from kotzigcdc.frame import (
     validate_frame,
     well_connected_witness,
 )
-from kotzigcdc.multigraph import Multigraph, VertexMap, is_eulerian
+from kotzigcdc.io import parse_graph6
+from kotzigcdc.multigraph import (
+    Multigraph,
+    VertexMap,
+    bridges,
+    components,
+    is_eulerian,
+    sorted_edge_ids,
+    sorted_vertices,
+)
+
+# bridgeless, 3-edge-connected and not 3-edge-colourable: no even 2-factor
+NOT_COLOURABLE_20 = "S_?S@DCA@?aAo?A??GO?@Ga??DOHA?o?_"
+
+
+def _perfect_matchings(g):
+    """Every perfect matching, by matching the first uncovered vertex in
+    every possible way.  With matching_oracle_factors, the oracle for
+    even_two_factors."""
+    verts = sorted_vertices(g)
+
+    def extend(covered, chosen):
+        free = [v for v in verts if v not in covered]
+        if not free:
+            yield frozenset(chosen)
+            return
+        v = free[0]
+        for eid in sorted_edge_ids(g.incident_edges(v)):
+            w = g.other_end(eid, v)
+            if w == v or w in covered:
+                continue
+            covered.update((v, w))
+            chosen.append(eid)
+            yield from extend(covered, chosen)
+            chosen.pop()
+            covered.difference_update((v, w))
+
+    yield from extend(set(), [])
+
+
+def matching_oracle_factors(g):
+    """Complements of perfect matchings whose cycles are all even."""
+    out = []
+    for matching in _perfect_matchings(g):
+        factor = frozenset(e for e in g.edge_ids if e not in matching)
+        sub = g.subgraph_of_edges(factor, keep_vertices=g.vertices)
+        if all(len(comp) % 2 == 0 for comp in components(sub)):
+            out.append(factor)
+    return out
+
+
+def seeded_cubic_graphs(orders, seeds):
+    for n in orders:
+        for seed in seeds:
+            h = nx.random_regular_graph(3, n, seed=seed)
+            edges = [(i, a, b) for i, (a, b) in enumerate(sorted(h.edges))]
+            yield Multigraph(sorted(h.nodes), edges)
 
 
 def prism_hamiltonian_frame():
@@ -85,10 +144,15 @@ def test_bridge_warning():
             (5, 3, 4), (6, 3, 5), (7, 4, 5), (8, 4, 5),
         ],
     )
-    # no frame exists at all (the bridge sides have odd order), but the
-    # warning surfaces on any validation attempt of a spanning subgraph
-    with pytest.raises(FrameError):
+    # no frame exists at all: the bridge sides have odd order.  The whole
+    # edge set is one spanning component holding the bridge, which is
+    # neither a cycle nor a Kotzig subdivision
+    assert bridges(g) == {4}
+    with pytest.raises(FrameError, match="neither"):
         validate_frame(g, g.edge_ids)
+    # both searches see the bridge once and yield nothing
+    assert list(search_frames(g, "two_factor")) == []
+    assert list(search_frames(g, "exhaustive")) == []
 
 
 # -- contraction -----------------------------------------------------------------
@@ -312,21 +376,20 @@ def test_search_two_factor_petersen_empty():
     for m in matchings:
         factor = [e for e in eids if e not in m]
         sub = g.subgraph_of_edges(factor)
-        from kotzigcdc.multigraph import components
-
         assert all(len(c) % 2 == 1 for c in components(sub))  # two 5-cycles
     assert list(search_frames(g, "two_factor")) == []
 
 
 def test_even_two_factors_are_distinct_and_complete():
-    """even_two_factors keeps no seen-set: distinct perfect matchings have
-    distinct complements.  Checked against brute-force matchings, parallel
-    edges and loops included."""
-    from kotzigcdc.multigraph import components
-
+    """The Tait search yields each even 2-factor once, and exactly the
+    factors of the perfect-matching oracle, parallel edges and loops
+    included.  The oracle itself is checked against matchings found by
+    brute force over edge subsets."""
     for g in [prism(), cube_graph(), petersen(), *cubic_corpus(8)]:
         factors = list(even_two_factors(g))
         assert len(set(factors)) == len(factors)
+        oracle = matching_oracle_factors(g)
+        assert len(set(oracle)) == len(oracle)
         expected = set()
         for m in itertools.combinations(g.edge_ids, g.num_vertices() // 2):
             if len({v for e in m for v in g.endpoints(e)}) == g.num_vertices():
@@ -334,7 +397,93 @@ def test_even_two_factors_are_distinct_and_complete():
                 sub = g.subgraph_of_edges(factor, keep_vertices=g.vertices)
                 if all(len(c) % 2 == 0 for c in components(sub)):
                     expected.add(factor)
+        assert set(oracle) == expected
         assert set(factors) == expected
+
+
+@pytest.mark.parametrize("name", ["petersen", "not_colourable_20"])
+def test_even_two_factors_none_on_non_colourable(name):
+    g = petersen() if name == "petersen" else parse_graph6(NOT_COLOURABLE_20)
+    assert not bridges(g)
+    assert list(even_two_factors(g)) == []
+    assert matching_oracle_factors(g) == []
+    assert list(search_frames(g, "two_factor")) == []
+
+
+def test_even_two_factors_match_oracle_on_random_cubic_graphs():
+    for g in seeded_cubic_graphs((12, 16, 20, 24), range(1, 6)):
+        factors = list(even_two_factors(g))
+        assert len(set(factors)) == len(factors)
+        assert set(factors) == set(matching_oracle_factors(g))
+
+
+def test_even_two_factors_deterministic():
+    for g in [cube_graph(), *seeded_cubic_graphs((40,), (1, 2))]:
+        first = next(even_two_factors(g))
+        assert next(even_two_factors(g)) == first
+        assert list(even_two_factors(g)) == list(even_two_factors(g))
+
+
+def _brute_force_bridges(g):
+    base = len(components(g))
+    return {
+        e
+        for e in g.edge_ids
+        if len(components(g.subgraph_of_edges(
+            [f for f in g.edge_ids if f != e], keep_vertices=g.vertices
+        ))) > base
+    }
+
+
+def test_bridges_match_edge_deletion_on_corpus():
+    """The linear bridge pass agrees with deleting each edge in turn (the
+    corpus has digons, whose edges are no bridges); the 30 bridged graphs
+    are exactly those the corpus policy leaves without a frame."""
+    assert bridges(theta_graph()) == set() == _brute_force_bridges(theta_graph())
+    bridged = 0
+    for g in cubic_corpus(10):
+        found = bridges(g)
+        assert found == _brute_force_bridges(g)
+        report = run_pipeline(g, strategy="two_factor")
+        if report.outcome != "verified":
+            report = run_pipeline(g, strategy="exhaustive")
+        assert (report.outcome == "no_frame") == bool(found)
+        bridged += bool(found)
+    assert bridged == 30
+
+
+def test_bridged_hosts_yield_nothing_unvalidated(monkeypatch):
+    calls = []
+    real = frame_module.validate_frame
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(frame_module, "validate_frame", counting)
+    graphs = [g for g in cubic_corpus(10) if bridges(g)]
+    assert len(graphs) == 30
+    for g in graphs:
+        assert list(search_frames(g, "two_factor")) == []
+        assert list(search_frames(g, "exhaustive")) == []
+    assert calls == []
+
+
+def test_bridged_hosts_have_no_frame_by_exhaustive_walk():
+    """The shortcut is a fact: on every bridged corpus graph up to 8
+    vertices, no degree-constrained edge subset validates as a frame."""
+    for g in cubic_corpus(8):
+        if not bridges(g):
+            continue
+        for subset in frame_module._degree_constrained_subsets(g):
+            with pytest.raises(FrameError):
+                validate_frame(g, subset)
+
+
+def test_search_needs_cubic_host():
+    for strategy in ("two_factor", "exhaustive"):
+        with pytest.raises(NotCubicError):
+            next(search_frames(cycle_graph(4), strategy))
 
 
 def test_search_exhaustive_petersen_finds_spanning_subdivision():
@@ -351,6 +500,7 @@ def test_search_exhaustive_petersen_finds_spanning_subdivision():
 def test_search_exhaustive_guard():
     g = Multigraph(range(20), [(i, i, (i + 1) % 20) for i in range(20)]
                    + [(20 + i, i, (i + 10) % 20) for i in range(10)])
+    assert not bridges(g)
     with pytest.raises(OracleLimitError):
         next(search_frames(g, "exhaustive", max_edges=24))
 

@@ -5,6 +5,7 @@ from kotzigcdc.catalog import cycle_graph, path_graph, theta_graph, theta_subdiv
 from kotzigcdc.errors import GraphFormatError
 from kotzigcdc.multigraph import (
     Multigraph,
+    bridges,
     components,
     contract_edges,
     is_bipartite,
@@ -155,6 +156,14 @@ def test_bipartite_loop():
 def test_bipartite_parallel_edges_fine():
     g = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1)])
     assert is_bipartite(g) is not None
+
+
+def test_bridges_parallel_edges_and_loops():
+    # digon 0=1, bridge 1-2, loop at 2, bridge 2-3
+    g = Multigraph(range(4), [(0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 2, 2), (4, 2, 3)])
+    assert bridges(g) == {2, 4}
+    assert bridges(path_graph(4)) == set(path_graph(4).edge_ids)
+    assert bridges(cycle_graph(5)) == set()
 
 
 def test_eulerian_and_components():
