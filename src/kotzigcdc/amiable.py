@@ -553,6 +553,9 @@ def has_parity_coloring_bruteforce(
     return None
 
 
+PARITY_SEARCH_MAX_S = 20
+
+
 def find_parity_coloring(
     r: RowGraph, mode: str, neighbor_multiplicity: bool = True
 ) -> ParityColoring | None:
@@ -560,10 +563,15 @@ def find_parity_coloring(
 
     Conditions (i)/(ii) pin each column's pattern up to the choice of the
     row-1 color, so only 2^s assignments need the per-row evenness check.
-    Agrees with has_parity_coloring_bruteforce everywhere.
+    Agrees with has_parity_coloring_bruteforce everywhere.  Refuses
+    s > PARITY_SEARCH_MAX_S.
     """
     import itertools
 
+    if r.s > PARITY_SEARCH_MAX_S:
+        raise OracleLimitError(
+            f"parity search refused: s={r.s} > {PARITY_SEARCH_MAX_S} (2^s cases)"
+        )
     rel12, rel23 = _pair_relations(r, mode, neighbor_multiplicity)
     comp_lists = _row_component_lists(r)
     for bits in itertools.product((False, True), repeat=r.s):

@@ -30,7 +30,12 @@ from .errors import (
 from .frame import frame_to_json, find_well_connected_frame_coloring, search_frames
 from .io import graph_to_json, load_graphs
 from .multigraph import Multigraph
-from .rowgraph import brute_force_amiable, enumerate_row_graphs, row_graph_to_json
+from .rowgraph import (
+    brute_force_amiable,
+    check_orbit_columns,
+    enumerate_row_graphs,
+    row_graph_to_json,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -202,14 +207,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_rows(args) -> int:
-    """Scan synthetic row graphs with eulerian column contraction for
-    amiable-coloring counterexamples; archive any hit verbatim."""
+    """Scan synthetic row graphs with eulerian column contraction, one per
+    rearrangement orbit, for amiable-coloring counterexamples; archive any
+    hit verbatim."""
     archive_dir = Path(args.archive) if args.archive else None
-    if archive_dir:
-        archive_dir.mkdir(parents=True, exist_ok=True)
     scanned = 0
     counterexamples = 0
     try:
+        check_orbit_columns(args.columns)
+        if archive_dir:
+            archive_dir.mkdir(parents=True, exist_ok=True)
         for s in range(1, args.columns + 1):
             for r in enumerate_row_graphs(
                 s, args.max_edges, eulerian_only=True, up_to_rearrangement=True
@@ -239,8 +246,9 @@ def cmd_scan_rows(args) -> int:
 def _corpus_worker(payload):
     """Run one corpus graph; a two_factor miss is retried with exhaustive.
     The returned report's seconds cover both attempts.  A graph the
-    pipeline rejects as input ends ``input_error`` with the message, so one
-    bad instance never ends the run."""
+    pipeline rejects as input, or whose first search runs past its size
+    guard, ends ``input_error`` with the message, so one bad instance never
+    ends the run."""
     name, graph_json, strategy = payload
     from .io import graph_from_json
 
@@ -257,7 +265,7 @@ def _corpus_worker(payload):
             kept.seconds = report.seconds + retry.seconds
             return kept
         return report
-    except (FrameError, GraphFormatError, NotCubicError) as exc:
+    except (FrameError, GraphFormatError, NotCubicError, OracleLimitError) as exc:
         return RunReport(
             name=name,
             outcome="input_error",

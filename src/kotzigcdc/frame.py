@@ -376,6 +376,9 @@ def check_frame_sufficiency(cf: ContractedFrame) -> FrameSufficiency:
 # -- frame search -------------------------------------------------------------
 
 
+TAIT_SEARCH_BUDGET = 100_000  # edges tried in M before the first factor
+
+
 def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     """Every 2-factor of a cubic graph whose cycles are all even, each
     once, in an order fixed for each input.
@@ -389,6 +392,14 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     - a vertex with two edges out of M forces its third edge into M;
     - the edges out of M form paths whose ends and length parity are kept,
       so a path that closes into an odd cycle is cut off at once.
+
+    Proving that no even 2-factor exists is exponential: on Isaacs' flower
+    snarks the branches grow about fourfold per two more petals.  So the
+    search raises OracleLimitError once it has tried TAIT_SEARCH_BUDGET
+    edges in M without finding a factor (Petersen needs 9, the flower snark
+    J15 about 71,000, the first factor of a random cubic graph on 40
+    vertices a few dozen).  Once a factor is found, the rest are
+    enumerated without a limit.
     """
     if g.has_loops():
         return  # a loop outside M is a cycle of length one
@@ -464,6 +475,7 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
 
     # each frame: [edges to try in M, next one to try, trail length at entry]
     stack = [[choices(), 0, 0]]
+    branches = 0  # edges tried in M while no factor has been found
     while stack:
         top = stack[-1]
         options, i, mark = top
@@ -471,12 +483,20 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
             arr, j, old = trail.pop()
             arr[j] = old
         if options is None:
+            branches = None
             yield frozenset(eids[k] for k, m in enumerate(in_m) if not m)
             stack.pop()
         elif i == len(options):
             stack.pop()
         else:
             top[1] = i + 1
+            if branches is not None:
+                branches += 1
+                if branches > TAIT_SEARCH_BUDGET:
+                    raise OracleLimitError(
+                        f"even 2-factor search gave up after {TAIT_SEARCH_BUDGET} branches "
+                        "without finding one"
+                    )
             if decide(options[i], True):
                 stack.append([choices(), 0, len(trail)])
 
@@ -537,8 +557,9 @@ def search_frames(
 ) -> Iterator[Frame]:
     """Enumerate valid frames of a cubic graph.
 
-    two_factor: the even 2-factors.  exhaustive: all spanning edge subsets
-    with degrees in {2,3} that classify, guarded by max_edges.
+    two_factor: the even 2-factors, within the search budget of
+    even_two_factors (OracleLimitError past it).  exhaustive: all spanning
+    edge subsets with degrees in {2,3} that classify, guarded by max_edges.
     user_supplied: validate frame_edges.
 
     Both searches check the host once.  A host with a bridge yields no

@@ -8,7 +8,9 @@ bare row graphs.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -366,6 +368,103 @@ def _slot_pairs(rows: int) -> list[tuple[int, int]]:
     return [(i1, i2) for i1 in range(1, rows + 1) for i2 in range(1, rows + 1)]
 
 
+MAX_ORBIT_COLUMNS = 4  # the group of rearrangements has s! * rows!^s elements
+
+
+def check_orbit_columns(s: int) -> None:
+    """Refuse orbit generation above MAX_ORBIT_COLUMNS columns."""
+    if s > MAX_ORBIT_COLUMNS:
+        raise OracleLimitError(
+            f"row graphs up to rearrangement refused: {s} columns > {MAX_ORBIT_COLUMNS}"
+        )
+
+
+def _edge_kinds(s: int, rows: int) -> list[tuple[GridVertex, GridVertex]]:
+    """Every grid-vertex pair {(i1, p), (i2, q)} with p < q, in the order
+    the raw enumeration lists them."""
+    return [
+        ((i1, p), (i2, q))
+        for p, q in itertools.combinations(range(1, s + 1), 2)
+        for i1, i2 in _slot_pairs(rows)
+    ]
+
+
+@functools.cache
+def _kind_action(s: int, rows: int) -> tuple[tuple[int, ...], ...]:
+    """The rearrangements as permutations of the edge kinds, identity
+    dropped, stored by kind: entry k lists the image of kind k under every
+    rearrangement in one fixed order."""
+    check_orbit_columns(s)
+    kinds = _edge_kinds(s, rows)
+    index = {kind: k for k, kind in enumerate(kinds)}
+    identity = tuple(range(len(kinds)))
+    table = []
+    for cols in itertools.permutations(range(1, s + 1)):
+        for row_perms in itertools.product(itertools.permutations(range(1, rows + 1)), repeat=s):
+            image = {
+                (i, j): (row_perms[j - 1][i - 1], cols[j - 1])
+                for j in range(1, s + 1)
+                for i in range(1, rows + 1)
+            }
+            perm = []
+            for a, b in kinds:
+                a, b = image[a], image[b]
+                perm.append(index[(a, b) if a[1] < b[1] else (b, a)])
+            perm = tuple(perm)
+            if perm != identity:
+                table.append(perm)
+    return tuple(zip(*table))
+
+
+def _orbit_representatives(s: int, max_edges: int, rows: int) -> Iterator[tuple[int, ...]]:
+    """The lex-min member of every rearrangement orbit of edge multisets
+    with at most max_edges edges, each once, as a sorted tuple of kind
+    indices (orderly generation: R. C. Read, "Every one a winner", Ann.
+    Discrete Math. 2, 1978).
+
+    A tuple is only ever extended by kinds no smaller than its last one,
+    and kept only if no rearrangement g maps it to a smaller sorted tuple.
+    Pruning the rejected tuples loses nothing, because lex-min is
+    hereditary: if T = (t1 <= ... <= tm) is lex-min in its orbit, so is
+    its prefix P = (t1, ..., t(m-1)).  Suppose sorted g(P) < P, first
+    differing at position i.  Adding one element to a multiset lowers or
+    keeps each of its order statistics, so sorted g(T) is entrywise at
+    most sorted g(P) on positions 0..m-2, and T agrees with P there.  So
+    sorted g(T) <= T on positions 0..i, strictly at i: g(T) < T.
+
+    The test is run on integer codes.  Of K kinds, kind k weighs
+    2^(w * (K - 1 - k)) in a field of w bits wide enough for any
+    multiplicity, so for equal sizes sorted A < sorted B exactly when
+    code(A) > code(B): both are
+    decided at the smallest kind whose multiplicities differ, where A has
+    more.  Each kept tuple carries the codes of all its images, so a child
+    costs one addition per rearrangement, and the scan over them stops at
+    the first image that beats the child.
+    """
+    moved = _kind_action(s, rows)
+    width = max_edges.bit_length()
+    weight = [1 << (width * (len(moved) - 1 - k)) for k in range(len(moved))]
+    moved_weight = [[weight[j] for j in images] for images in moved]
+
+    def extend(tup, code, image_codes, first):
+        yield tup
+        if len(tup) == max_edges:
+            return
+        for k in range(first, len(moved)):
+            child = code + weight[k]
+            if any(map(child.__lt__, map(operator.add, image_codes, moved_weight[k]))):
+                continue
+            yield from extend(
+                tup + (k,),
+                child,
+                list(map(operator.add, image_codes, moved_weight[k])),
+                k,
+            )
+
+    if max_edges >= 0:
+        yield from extend((), 0, [0] * len(moved[0]) if moved else [], 0)
+
+
 def enumerate_row_graphs(
     s: int,
     max_edges: int,
@@ -378,12 +477,27 @@ def enumerate_row_graphs(
     With eulerian_only, only instances whose column contraction has even
     degrees everywhere are produced (enumerated pair-multiplicity-first so
     the parity filter prunes before row assignment).  Parallel edges are
-    included.  up_to_rearrangement keeps one representative per orbit of
-    column/row permutations; use only at small sizes.
+    included.  up_to_rearrangement yields one representative per orbit of
+    column/row permutations instead: the lex-min edge multiset of each
+    orbit, with edges numbered 0.. in kind order (see
+    _orbit_representatives).  It refuses s > MAX_ORBIT_COLUMNS.
     """
+    if up_to_rearrangement:
+        kinds = _edge_kinds(s, rows)
+        for tup in _orbit_representatives(s, max_edges, rows):
+            parity = 0
+            for k in tup:
+                (_, p), (_, q) = kinds[k]
+                parity ^= (1 << p) ^ (1 << q)
+            if eulerian_only and parity:
+                continue
+            yield RowGraph(
+                s, [RowEdge(n, *kinds[k]) for n, k in enumerate(tup)], rows=rows
+            )
+        return
+
     pairs = list(itertools.combinations(range(1, s + 1), 2))
     row_pairs = _slot_pairs(rows)
-    seen_canon: set = set()
 
     def column_parities(mults: tuple[int, ...]) -> bool:
         for col in range(1, s + 1):
@@ -419,36 +533,7 @@ def enumerate_row_graphs(
                 for (i1, i2) in assignment:
                     edges.append(RowEdge(eid, (i1, p), (i2, q)))
                     eid += 1
-            r = RowGraph(s, edges, rows=rows)
-            if up_to_rearrangement:
-                canon = canonical_form(r)
-                if canon in seen_canon:
-                    continue
-                seen_canon.add(canon)
-            yield r
-
-
-def canonical_form(r: RowGraph) -> tuple:
-    """Lexicographically smallest edge multiset over all rearrangements."""
-    cols = list(range(1, r.s + 1))
-    rows = list(range(1, r.rows + 1))
-    best = None
-    for col_perm in itertools.permutations(cols):
-        cmap = {old: new for old, new in zip(cols, col_perm)}
-        for row_choices in itertools.product(itertools.permutations(rows), repeat=r.s):
-            rmaps = {
-                j: {old: new for old, new in zip(rows, row_choices[j - 1])}
-                for j in cols
-            }
-            sig = []
-            for e in r.edges:
-                a = (rmaps[e.a[1]][e.a[0]], cmap[e.a[1]])
-                b = (rmaps[e.b[1]][e.b[0]], cmap[e.b[1]])
-                sig.append(tuple(sorted((a, b))))
-            cand = tuple(sorted(sig))
-            if best is None or cand < best:
-                best = cand
-    return best
+            yield RowGraph(s, edges, rows=rows)
 
 
 # -- serialization --------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from kotzigcdc.amiable import (
+    PARITY_SEARCH_MAX_S,
     STANDARD,
     SYMMETRIC,
     ConstructionTrace,
@@ -23,7 +24,7 @@ from kotzigcdc.amiable import (
 )
 from kotzigcdc.catalog import cube_graph, petersen, prism
 from kotzigcdc.corpus import cubic_corpus
-from kotzigcdc.errors import HypothesisError
+from kotzigcdc.errors import HypothesisError, OracleLimitError
 from kotzigcdc.frame import find_well_connected_frame_coloring, search_frames, validate_frame
 from kotzigcdc.rowgraph import (
     AmiableColoring,
@@ -242,6 +243,15 @@ def test_parity_bruteforce_and_fast_agree():
             if slow is not None:
                 assert is_parity_coloring(r, slow, mode)
                 assert is_parity_coloring(r, fast, mode)
+
+
+def test_parity_search_guard():
+    r = RowGraph(PARITY_SEARCH_MAX_S + 1, [])
+    for mode in (STANDARD, SYMMETRIC):
+        with pytest.raises(OracleLimitError):
+            find_parity_coloring(r, mode)
+    edge_free = RowGraph(PARITY_SEARCH_MAX_S, [])
+    assert find_parity_coloring(edge_free, STANDARD) is not None
 
 
 def test_three_way_equivalence_s2():

@@ -137,6 +137,22 @@ def test_scan_rows_archive(tmp_path, capsys):
     assert archive.exists()  # created even when empty
 
 
+def test_scan_rows_three_columns(capsys):
+    assert main(["scan-rows", "--columns", "3", "--max-edges", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "scanned 629 " in out and "0 counterexamples" in out
+
+
+def test_scan_rows_refuses_many_columns(tmp_path, capsys):
+    archive = tmp_path / "hits"
+    assert main(["scan-rows", "--columns", "9", "--archive", str(archive)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not archive.exists()
+
+
 def test_corpus_directory(tmp_path, capsys):
     d = tmp_path / "graphs"
     d.mkdir()
@@ -209,6 +225,20 @@ def test_corpus_worker_reports_both_attempts(monkeypatch, retry_outcome):
     report = cli._corpus_worker(("theta", graph_to_json(theta_graph()), "two_factor"))
     assert report.outcome == retry_outcome
     assert report.seconds == 0.75
+
+
+def test_pipeline_and_corpus_on_a_snark_past_the_search_budget(tmp_path, capsys):
+    from tests.test_frame import flower_snark
+
+    g = flower_snark(21)
+    gpath = tmp_path / "j21.json"
+    save_graph_json(g, gpath)
+    assert main(["pipeline", str(gpath)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "gave up" in err[0]
+    report = cli._corpus_worker(("j21", graph_to_json(g), "two_factor"))
+    assert report.outcome == "input_error" and "gave up" in report.error
 
 
 def test_run_pipeline_reports_deterministic():

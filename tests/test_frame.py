@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import networkx as nx
 import pytest
@@ -408,6 +409,36 @@ def test_even_two_factors_none_on_non_colourable(name):
     assert list(even_two_factors(g)) == []
     assert matching_oracle_factors(g) == []
     assert list(search_frames(g, "two_factor")) == []
+
+
+def flower_snark(n: int) -> Multigraph:
+    """Isaacs' flower snark J_n (odd n): stars a_i - b_i, c_i, d_i, the
+    cycle b_0 ... b_(n-1), and the cycle c_0 ... c_(n-1) d_0 ... d_(n-1).
+    Vertex x_i is numbered "abcd".index(x) * n + i."""
+    a, b, c, d = (lambda i, base=base: base * n + i % n for base in range(4))
+    edges = []
+    for i in range(n):
+        edges += [(a(i), b(i)), (a(i), c(i)), (a(i), d(i)), (b(i), b(i + 1))]
+    for x in (c, d):
+        edges += [(x(i), x(i + 1)) for i in range(n - 1)]
+    edges += [(c(n - 1), d(0)), (d(n - 1), c(0))]
+    return Multigraph(range(4 * n), [(k, u, v) for k, (u, v) in enumerate(edges)])
+
+
+def test_even_two_factors_budget_on_flower_snark():
+    """J21 has no even 2-factor, and proving it unbudgeted takes minutes;
+    the search gives up after its branch budget instead.  J5 and J15 fit
+    in the budget and still end with no factor."""
+    for n in (5, 15):
+        assert list(even_two_factors(flower_snark(n))) == []
+    g = flower_snark(21)
+    assert g.is_cubic() and not bridges(g)
+    start = time.perf_counter()
+    with pytest.raises(OracleLimitError, match="gave up"):
+        next(even_two_factors(g), None)
+    assert time.perf_counter() - start < 30
+    with pytest.raises(OracleLimitError):
+        run_pipeline(g)
 
 
 def test_even_two_factors_match_oracle_on_random_cubic_graphs():

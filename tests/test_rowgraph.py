@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,13 +8,13 @@ from kotzigcdc.errors import OracleLimitError
 from kotzigcdc.frame import validate_frame
 from kotzigcdc.multigraph import is_eulerian
 from kotzigcdc.rowgraph import (
+    MAX_ORBIT_COLUMNS,
     AmiableColoring,
     RowGraph,
     amiable_from_json,
     amiable_to_json,
     brute_force_amiable,
     build_row_graph,
-    canonical_form,
     enumerate_row_graphs,
     extend_to_amiable,
     is_amiable,
@@ -242,12 +243,116 @@ def test_enumerate_counts_small():
     assert len(all_two) == 46
 
 
+def canonical_form(r: RowGraph) -> tuple:
+    """Lexicographically smallest edge multiset over all rearrangements:
+    the brute-force oracle for orbit generation."""
+    cols = list(range(1, r.s + 1))
+    rows = list(range(1, r.rows + 1))
+    best = None
+    for col_perm in itertools.permutations(cols):
+        cmap = {old: new for old, new in zip(cols, col_perm)}
+        for row_choices in itertools.product(itertools.permutations(rows), repeat=r.s):
+            rmaps = {
+                j: {old: new for old, new in zip(rows, row_choices[j - 1])}
+                for j in cols
+            }
+            sig = []
+            for e in r.edges:
+                a = (rmaps[e.a[1]][e.a[0]], cmap[e.a[1]])
+                b = (rmaps[e.b[1]][e.b[0]], cmap[e.b[1]])
+                sig.append(tuple(sorted((a, b))))
+            cand = tuple(sorted(sig))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
 def test_enumerate_rearrangement_reduction():
     full = list(enumerate_row_graphs(2, 2))
     reduced = list(enumerate_row_graphs(2, 2, up_to_rearrangement=True))
     assert len(reduced) < len(full)
     canon = {canonical_form(r) for r in full}
     assert len(canon) == len(reduced)
+
+
+@pytest.mark.parametrize(
+    "max_edges, rows, eulerian_only", [(6, 3, True), (6, 2, True), (4, 3, False)]
+)
+def test_orbit_representatives_meet_every_orbit_once(max_edges, rows, eulerian_only):
+    raw = enumerate_row_graphs(2, max_edges, rows=rows, eulerian_only=eulerian_only)
+    orbits = {canonical_form(r) for r in raw}
+    reps = list(
+        enumerate_row_graphs(
+            2, max_edges, rows=rows, eulerian_only=eulerian_only, up_to_rearrangement=True
+        )
+    )
+    met = [canonical_form(r) for r in reps]
+    assert len(set(met)) == len(met) and set(met) == orbits
+    for r in reps:
+        assert [e.eid for e in r.edges] == list(range(len(r.edges)))
+        assert not eulerian_only or is_eulerian(row_contract(r))
+
+
+def burnside_eulerian_orbits(s: int, max_edges: int) -> int:
+    """Orbits of eulerian edge multisets with at most max_edges edges under
+    the rearrangements, by Burnside's lemma: the mean over the group of the
+    multisets each element fixes.  A fixed multiset is a union of whole
+    cycles of the element acting on the edge kinds, each taken any number
+    of times; it is counted by size and by the parity of every column's
+    degree."""
+    kinds = [
+        frozenset(((i1, p), (i2, q)))
+        for p, q in itertools.combinations(range(1, s + 1), 2)
+        for i1 in (1, 2, 3)
+        for i2 in (1, 2, 3)
+    ]
+    total = 0
+    order = 0
+    for cols in itertools.permutations(range(1, s + 1)):
+        for row_perms in itertools.product(itertools.permutations((1, 2, 3)), repeat=s):
+            order += 1
+            image = {
+                kind: frozenset((row_perms[j - 1][i - 1], cols[j - 1]) for i, j in kind)
+                for kind in kinds
+            }
+            counts = {(0, 0): 1}  # (size, column parity mask) -> fixed multisets
+            left = set(kinds)
+            while left:
+                cycle = [left.pop()]
+                while image[cycle[-1]] != cycle[0]:
+                    cycle.append(image[cycle[-1]])
+                    left.discard(cycle[-1])
+                mask = 0
+                for kind in cycle:
+                    for _, j in kind:
+                        mask ^= 1 << j
+                step = {}
+                for (size, parity), n in counts.items():
+                    times = 0
+                    while size + times * len(cycle) <= max_edges:
+                        key = (size + times * len(cycle), parity ^ (mask if times % 2 else 0))
+                        step[key] = step.get(key, 0) + n
+                        times += 1
+                counts = step
+            total += sum(n for (_, parity), n in counts.items() if parity == 0)
+    assert total % order == 0
+    return total // order
+
+
+@pytest.mark.parametrize("s, max_edges, orbits", [(2, 4, 20), (2, 6, 88), (3, 4, 44), (3, 6, 540)])
+def test_orbit_counts_match_burnside(s, max_edges, orbits):
+    assert burnside_eulerian_orbits(s, max_edges) == orbits
+    assert sum(1 for _ in enumerate_row_graphs(s, max_edges, up_to_rearrangement=True)) == orbits
+
+
+def test_orbit_generation_with_no_edges_allowed():
+    assert [len(r.edges) for r in enumerate_row_graphs(2, 0, up_to_rearrangement=True)] == [0]
+    assert list(enumerate_row_graphs(2, -1, up_to_rearrangement=True)) == []
+
+
+def test_orbit_generation_refuses_many_columns():
+    with pytest.raises(OracleLimitError):
+        next(enumerate_row_graphs(MAX_ORBIT_COLUMNS + 1, 2, up_to_rearrangement=True))
 
 
 def test_row_graph_json_round_trip():
