@@ -38,6 +38,7 @@ from .rowgraph import (
     build_row_graph,
     is_amiable,
     row_contract,
+    solve_gf2,
 )
 from .switching import acyclic_t_join, resolve_two_row
 
@@ -478,47 +479,37 @@ def _degree_within(r: RowGraph, v, rows: set[int]) -> int:
     return sum(1 for e in r.edges_at(v) if e.a[0] in rows and e.b[0] in rows)
 
 
-def _neighbors_in_row(r: RowGraph, v, row: int, multiplicity: bool) -> int:
-    if multiplicity:
-        return sum(1 for e in r.edges_at(v) if e.other(v)[0] == row)
-    return len({e.other(v) for e in r.edges_at(v) if e.other(v)[0] == row})
+def _neighbors_in_row(r: RowGraph, v, row: int) -> int:
+    """Neighbors of v in the given row, counted with edge multiplicity."""
+    return sum(1 for e in r.edges_at(v) if e.other(v)[0] == row)
 
 
 def _row_component_lists(r: RowGraph) -> dict[int, list[list]]:
     return {i: components(r.row_subgraph(i)) for i in (1, 2, 3)}
 
 
-def _pair_relations(r: RowGraph, mode: str, multiplicity: bool) -> tuple[list[bool], list[bool]]:
+def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
     """Per column: must phi agree on rows (1,2) and on rows (2,3)?"""
     rel12 = []
     rel23 = []
     for j in range(1, r.s + 1):
-        a = _degree_within(r, (1, j), {1, 2}) + _neighbors_in_row(r, (2, j), 1, multiplicity)
+        a = _degree_within(r, (1, j), {1, 2}) + _neighbors_in_row(r, (2, j), 1)
         rel12.append(a % 2 == 0)
         if mode == STANDARD:
             b = _degree_within(r, (2, j), {2, 3}) + _degree_within(r, (3, j), {2, 3})
         else:
-            b = _degree_within(r, (2, j), {2, 3}) + _neighbors_in_row(r, (3, j), 2, multiplicity)
+            b = _degree_within(r, (2, j), {2, 3}) + _neighbors_in_row(r, (3, j), 2)
         rel23.append(b % 2 == 0)
     return rel12, rel23
 
 
-def is_parity_coloring(
-    r: RowGraph,
-    phi: ParityColoring,
-    mode: str | None = None,
-    neighbor_multiplicity: bool = True,
-) -> bool:
-    """Literal evaluation of the parity-coloring conditions.
-
-    Neighbor counts are edge-multiplicity-aware by default; pass
-    neighbor_multiplicity=False to count distinct neighbors instead (an
-    experimental alternative reading).
-    """
+def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None) -> bool:
+    """Literal evaluation of the parity-coloring conditions (neighbor
+    counts with edge multiplicity)."""
     mode = mode or phi.mode
     if mode not in (STANDARD, SYMMETRIC):
         raise ValueError(f"unknown mode {mode!r}")
-    rel12, rel23 = _pair_relations(r, mode, neighbor_multiplicity)
+    rel12, rel23 = _pair_relations(r, mode)
     for j in range(1, r.s + 1):
         same12 = ((1, j) in phi.black) == ((2, j) in phi.black)
         if same12 != rel12[j - 1]:
@@ -533,12 +524,7 @@ def is_parity_coloring(
     return True
 
 
-def has_parity_coloring_bruteforce(
-    r: RowGraph,
-    mode: str,
-    neighbor_multiplicity: bool = True,
-    max_s: int = 6,
-) -> ParityColoring | None:
+def has_parity_coloring_bruteforce(r: RowGraph, mode: str, max_s: int = 6) -> ParityColoring | None:
     """Exhaustive search over all 2^(3s) black/white assignments."""
     import itertools
 
@@ -548,55 +534,39 @@ def has_parity_coloring_bruteforce(
     for bits in itertools.product((False, True), repeat=len(verts)):
         black = frozenset(v for v, b in zip(verts, bits) if b)
         phi = ParityColoring(black=black, mode=mode)
-        if is_parity_coloring(r, phi, mode, neighbor_multiplicity):
+        if is_parity_coloring(r, phi, mode):
             return phi
     return None
 
 
-PARITY_SEARCH_MAX_S = 20
+def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
+    """Exact search over GF(2), one bit per column.
 
-
-def find_parity_coloring(
-    r: RowGraph, mode: str, neighbor_multiplicity: bool = True
-) -> ParityColoring | None:
-    """Exact search using the per-column structure of the conditions.
-
-    Conditions (i)/(ii) pin each column's pattern up to the choice of the
-    row-1 color, so only 2^s assignments need the per-row evenness check.
-    Agrees with has_parity_coloring_bruteforce everywhere.  Refuses
-    s > PARITY_SEARCH_MAX_S.
+    Bit j-1 says whether (1, j) is black; conditions (i)/(ii) then fix
+    (2, j) and (3, j), and every row component needs an even number of
+    black vertices, one equation each.  Returns the first solution in the
+    order that tries column 1 white first, then column 2, and so on.
+    Agrees with has_parity_coloring_bruteforce everywhere.
     """
-    import itertools
-
-    if r.s > PARITY_SEARCH_MAX_S:
-        raise OracleLimitError(
-            f"parity search refused: s={r.s} > {PARITY_SEARCH_MAX_S} (2^s cases)"
-        )
-    rel12, rel23 = _pair_relations(r, mode, neighbor_multiplicity)
-    comp_lists = _row_component_lists(r)
-    for bits in itertools.product((False, True), repeat=r.s):
-        black = set()
-        for j in range(1, r.s + 1):
-            b1 = bits[j - 1]
-            b2 = b1 if rel12[j - 1] else not b1
-            b3 = b2 if rel23[j - 1] else not b2
-            if b1:
-                black.add((1, j))
-            if b2:
-                black.add((2, j))
-            if b3:
-                black.add((3, j))
-        ok = True
-        for i, comps in comp_lists.items():
-            for comp in comps:
-                if sum(1 for v in comp if v in black) % 2 != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return ParityColoring(black=frozenset(black), mode=mode)
-    return None
+    rel12, rel23 = _pair_relations(r, mode)
+    flip = {}  # does (i, j) take the other color than (1, j)?
+    for j in range(1, r.s + 1):
+        flip[(1, j)] = 0
+        flip[(2, j)] = int(not rel12[j - 1])
+        flip[(3, j)] = flip[(2, j)] ^ int(not rel23[j - 1])
+    rhs = 1 << r.s
+    equations = []
+    for comps in _row_component_lists(r).values():
+        for comp in comps:
+            row = 0
+            for v in comp:
+                row ^= 1 << (v[1] - 1) | rhs * flip[v]
+            equations.append(row)
+    bits = solve_gf2(equations, r.s)
+    if bits is None:
+        return None
+    black = frozenset(v for v in flip if (bits >> (v[1] - 1) & 1) ^ flip[v])
+    return ParityColoring(black=black, mode=mode)
 
 
 # -- conversions between amiable and parity colorings ----------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .amiable import ConstructionTrace, permute_component_colors
-from .errors import ConstructionInvariantError, HypothesisError
+from .errors import ConstructionInvariantError, GraphFormatError, HypothesisError
 from .frame import Frame, PerfectColoring
 from .multigraph import (
     EdgeId,
@@ -53,11 +53,15 @@ class CdcCertificate:
 
     @staticmethod
     def from_json(obj: dict) -> "CdcCertificate":
+        classes = obj.get("classes") if isinstance(obj, dict) else None
+        if not isinstance(classes, dict) or not all(
+            isinstance(cycles, list)
+            and all(isinstance(c, list) and not any(isinstance(e, (list, dict)) for e in c) for c in cycles)
+            for cycles in classes.values()
+        ):
+            raise GraphFormatError('certificate is not {"classes": {label: [[edge ids...], ...]}}')
         return CdcCertificate(
-            classes={
-                label: tuple(tuple(cyc) for cyc in cycles)
-                for label, cycles in obj["classes"].items()
-            }
+            classes={label: tuple(tuple(cyc) for cyc in cycles) for label, cycles in classes.items()}
         )
 
     def dump(self, path) -> None:

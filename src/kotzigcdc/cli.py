@@ -221,10 +221,6 @@ def cmd_scan_rows(args) -> int:
             for r in enumerate_row_graphs(
                 s, args.max_edges, eulerian_only=True, up_to_rearrangement=True
             ):
-                if len(r.edges) > args.oracle_limit:
-                    raise OracleLimitError(
-                        f"instance with {len(r.edges)} edges exceeds --oracle-limit"
-                    )
                 scanned += 1
                 if brute_force_amiable(r, max_edges=args.oracle_limit) is None:
                     counterexamples += 1

@@ -2,7 +2,7 @@
 
 
 class GraphFormatError(ValueError):
-    """Input file or JSON document does not describe a valid graph."""
+    """Input file or JSON document does not describe a valid graph or certificate."""
 
 
 class NotCubicError(ValueError):

@@ -549,17 +549,20 @@ def _degree_constrained_subsets(g: Multigraph) -> Iterator[frozenset]:
     yield from rec(0)
 
 
+EXHAUSTIVE_MAX_EDGES = 24  # the exhaustive search walks up to 2^E edge subsets
+
+
 def search_frames(
     g: Multigraph,
     strategy: str = "two_factor",
     frame_edges: Iterable[EdgeId] | None = None,
-    max_edges: int = 24,
 ) -> Iterator[Frame]:
     """Enumerate valid frames of a cubic graph.
 
     two_factor: the even 2-factors, within the search budget of
     even_two_factors (OracleLimitError past it).  exhaustive: all spanning
-    edge subsets with degrees in {2,3} that classify, guarded by max_edges.
+    edge subsets with degrees in {2,3} that classify, on hosts of at most
+    EXHAUSTIVE_MAX_EDGES edges.
     user_supplied: validate frame_edges.
 
     Both searches check the host once.  A host with a bridge yields no
@@ -584,9 +587,9 @@ def search_frames(
         for factor in even_two_factors(g):
             yield validate_frame(g, factor)
         return
-    if g.num_edges() > max_edges:
+    if g.num_edges() > EXHAUSTIVE_MAX_EDGES:
         raise OracleLimitError(
-            f"exhaustive frame search refused: {g.num_edges()} edges > {max_edges}"
+            f"exhaustive frame search refused: {g.num_edges()} edges > {EXHAUSTIVE_MAX_EDGES}"
         )
     for subset in _degree_constrained_subsets(g):
         try:

@@ -116,12 +116,16 @@ def graph_to_json(g: Multigraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Multigraph:
+    """{"vertices": [...], "edges": [[id, a, b], ...]} with scalar ids."""
     try:
-        vertices = obj["vertices"]
-        edges = [(e[0], e[1], e[2]) for e in obj["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        vertices, edges = obj["vertices"], obj["edges"]
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise TypeError("vertices and edges must be lists")
+        if not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in edges):
+            raise TypeError("every edge must be [id, a, b]")
+        return Multigraph(vertices, edges)
+    except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
-    return Multigraph(vertices, edges)
 
 
 def load_graphs(path: str | Path, fmt: str | None = None) -> list[Multigraph]:

@@ -280,52 +280,70 @@ def is_amiable(r: RowGraph, a: AmiableColoring) -> bool:
     return not amiable_violations(r, a)
 
 
+def solve_gf2(rows: Iterable[int], nvars: int) -> int | None:
+    """One solution of a linear system over GF(2), or None.
+
+    Each row is a bit mask: bit k is the coefficient of variable k, bit
+    nvars the right-hand side.  A solution is returned as a mask of the
+    variables set to 1.  Every row is pivoted on its highest variable and
+    the pivot rows are kept fully reduced, so a pivot depends only on free
+    variables below it; with every free variable 0 the answer is the least
+    solution when bit 0 is compared first, then bit 1, and so on.
+    """
+    rhs = 1 << nvars
+    pivots: dict[int, int] = {}
+    for row in rows:
+        for bit, pivot_row in pivots.items():
+            if row >> bit & 1:
+                row ^= pivot_row
+        low = row & (rhs - 1)
+        if not low:
+            if row:
+                return None
+            continue
+        bit = low.bit_length() - 1
+        for other, other_row in pivots.items():
+            if other_row >> bit & 1:
+                pivots[other] = other_row ^ row
+        pivots[bit] = row
+    return sum(1 << bit for bit, row in pivots.items() if row & rhs)
+
+
 def extend_to_amiable(r: RowGraph, f: dict) -> dict | None:
     """An edge coloring g making (f, g) amiable, or None.
 
-    Every edge avoids its two endpoint colors, which leaves one or two
-    choices; the per-column parity condition is checked as soon as a
-    column's last incident edge is assigned.
+    Over GF(2): an edge whose ends have different colors is forced to the
+    third color; an edge whose ends share a color c takes the smaller or
+    the larger of the other two (one bit, in edge order); every (column,
+    color) count must be even.  Of all extensions this returns the first in
+    edge order with the smaller color tried first.
     """
     for j in range(1, r.s + 1):
         colors = [f[v] for v in r.column(j)]
         if len(set(colors)) != len(colors):
             return None
-
-    edges = list(r.edges)
-    remaining = {j: 0 for j in range(1, r.s + 1)}
-    for e in edges:
-        for col in {e.a[1], e.b[1]}:
-            remaining[col] += 1
-    counts = {(j, c): 0 for j in range(1, r.s + 1) for c in (1, 2, 3)}
-    g: dict = {}
-
-    def column_ok(j: int) -> bool:
-        return all(counts[(j, c)] % 2 == 0 for c in (1, 2, 3))
-
-    def assign(idx: int) -> bool:
-        if idx == len(edges):
-            return True
-        e = edges[idx]
-        cols = {e.a[1], e.b[1]}
-        allowed = [c for c in (1, 2, 3) if c != f[e.a] and c != f[e.b]]
-        for color in allowed:
-            g[e.eid] = color
-            for j in cols:
-                counts[(j, color)] += 1
-                remaining[j] -= 1
-            ok = all(remaining[j] > 0 or column_ok(j) for j in cols)
-            if ok and assign(idx + 1):
-                return True
-            for j in cols:
-                counts[(j, color)] -= 1
-                remaining[j] += 1
-            del g[e.eid]
-        return False
-
-    if assign(0):
-        return dict(g)
-    return None
+    nvars = sum(1 for e in r.edges if f[e.a] == f[e.b])
+    rhs = 1 << nvars
+    equations: dict = {}
+    choices = []  # per edge: its color at bit 0, its color at bit 1, the bit
+    var = 1
+    for e in r.edges:
+        if f[e.a] != f[e.b]:
+            third = 6 - f[e.a] - f[e.b]
+            choice = (third, third, 0)
+        else:
+            lo, hi = [c for c in (1, 2, 3) if c != f[e.a]]
+            choice = (lo, hi, var)
+            var <<= 1
+        lo, hi, bit = choice
+        for j in (e.a[1], e.b[1]):
+            equations[(j, lo)] = equations.get((j, lo), 0) ^ rhs ^ bit
+            equations[(j, hi)] = equations.get((j, hi), 0) ^ bit
+        choices.append(choice)
+    solution = solve_gf2(equations.values(), nvars)
+    if solution is None:
+        return None
+    return {e.eid: hi if solution & bit else lo for e, (lo, hi, bit) in zip(r.edges, choices)}
 
 
 def _column_color_assignments(rows: int) -> list[tuple[int, ...]]:

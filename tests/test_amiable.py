@@ -4,7 +4,6 @@ import random
 import pytest
 
 from kotzigcdc.amiable import (
-    PARITY_SEARCH_MAX_S,
     STANDARD,
     SYMMETRIC,
     ConstructionTrace,
@@ -24,7 +23,7 @@ from kotzigcdc.amiable import (
 )
 from kotzigcdc.catalog import cube_graph, petersen, prism
 from kotzigcdc.corpus import cubic_corpus
-from kotzigcdc.errors import HypothesisError, OracleLimitError
+from kotzigcdc.errors import HypothesisError
 from kotzigcdc.frame import find_well_connected_frame_coloring, search_frames, validate_frame
 from kotzigcdc.rowgraph import (
     AmiableColoring,
@@ -245,13 +244,38 @@ def test_parity_bruteforce_and_fast_agree():
                 assert is_parity_coloring(r, fast, mode)
 
 
-def test_parity_search_guard():
-    r = RowGraph(PARITY_SEARCH_MAX_S + 1, [])
-    for mode in (STANDARD, SYMMETRIC):
-        with pytest.raises(OracleLimitError):
-            find_parity_coloring(r, mode)
-    edge_free = RowGraph(PARITY_SEARCH_MAX_S, [])
-    assert find_parity_coloring(edge_free, STANDARD) is not None
+def three_way_answers(r):
+    ext = extend_to_amiable(r, identity_f(r))
+    std = find_parity_coloring(r, STANDARD)
+    sym = find_parity_coloring(r, SYMMETRIC)
+    assert (ext is None) == (std is None) == (sym is None)
+    if ext is not None:
+        assert is_amiable(r, AmiableColoring(f=identity_f(r), g=ext))
+        assert is_parity_coloring(r, std, STANDARD)
+        assert is_parity_coloring(r, sym, SYMMETRIC)
+    return ext, std, sym
+
+
+def test_parity_and_extension_have_no_size_guard():
+    # no edges: everything white, at any number of columns
+    ext, std, sym = three_way_answers(RowGraph(21, []))
+    assert ext == {} and std.black == sym.black == frozenset()
+    # 40 columns: closed walks inside one row each, and cross edges in
+    # parallel pairs, so the identity f extends (every edge of a walk takes
+    # one color that differs from its row; each pair takes one color twice)
+    rng = random.Random(40)
+    edges = []
+    for _ in range(12):
+        i = rng.randint(1, 3)
+        cols = rng.sample(range(1, 41), rng.randint(2, 8))
+        for p, q in zip(cols, cols[1:] + cols[:1]):
+            edges.append((len(edges), (i, p), (i, q)))
+    for _ in range(10):
+        p, q = rng.sample(range(1, 41), 2)
+        a, b = (rng.randint(1, 3), p), (rng.randint(1, 3), q)
+        edges += [(len(edges), a, b), (len(edges) + 1, a, b)]
+    ext, std, sym = three_way_answers(RowGraph(40, edges))
+    assert ext is not None
 
 
 def test_three_way_equivalence_s2():
@@ -320,15 +344,11 @@ def test_conversion_requires_identity_f():
         amiable_to_parity(r, AmiableColoring(f=f, g=a.g))
 
 
-def test_neighbor_multiplicity_mode_switch():
-    # double cross edge between (1,1) and (2,2): multiplicity changes the
-    # relation read off condition (i)
+def test_double_cross_edge_has_standard_parity_coloring():
+    # neighbors are counted with edge multiplicity: the two parallel edges
+    # make (2,2) see row 1 twice
     r = RowGraph(2, [(0, (1, 1), (2, 2)), (1, (1, 1), (2, 2))])
-    std_multi = find_parity_coloring(r, STANDARD, neighbor_multiplicity=True)
-    std_distinct = find_parity_coloring(r, STANDARD, neighbor_multiplicity=False)
-    assert std_multi is not None
-    # the distinct-neighbor reading disagrees on this instance
-    assert (std_distinct is None) != (std_multi is None) or std_distinct is not None
+    assert find_parity_coloring(r, STANDARD) is not None
 
 
 # -- frame-level normalization -------------------------------------------------------

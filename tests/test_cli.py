@@ -86,6 +86,32 @@ def test_pipeline_bad_input(tmp_path, capsys):
     assert main(["pipeline", str(bad)]) == 3
 
 
+def assert_one_input_error_line(capsys):
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "Traceback" not in captured.err
+
+
+def test_pipeline_vertices_not_a_list(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": 5, "edges": []}))
+    assert main(["pipeline", str(bad)]) == 3
+    assert_one_input_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "certificate", [{"classes": 5}, {"classes": {"1a": [5]}}], ids=["classes", "cycle"]
+)
+def test_verify_malformed_certificate(tmp_path, capsys, certificate):
+    gpath = tmp_path / "k4.json"
+    save_graph_json(k4(), gpath)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text(json.dumps(certificate))
+    assert main(["verify", str(gpath), str(cpath)]) == 3
+    assert_one_input_error_line(capsys)
+
+
 def test_pipeline_invalid_frame_file(tmp_path, capsys):
     gpath = tmp_path / "k4.json"
     save_graph_json(k4(), gpath)
@@ -151,6 +177,12 @@ def test_scan_rows_refuses_many_columns(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("input error:")
     assert "Traceback" not in captured.err and captured.out == ""
     assert not archive.exists()
+
+
+def test_scan_rows_oracle_limit(capsys):
+    # orbits with 6 edges exceed the oracle's limit of 4
+    assert main(["scan-rows", "--columns", "2", "--max-edges", "6", "--oracle-limit", "4"]) == 3
+    assert_one_input_error_line(capsys)
 
 
 def test_corpus_directory(tmp_path, capsys):

@@ -533,7 +533,7 @@ def test_search_exhaustive_guard():
                    + [(20 + i, i, (i + 10) % 20) for i in range(10)])
     assert not bridges(g)
     with pytest.raises(OracleLimitError):
-        next(search_frames(g, "exhaustive", max_edges=24))
+        next(search_frames(g, "exhaustive"))
 
 
 def test_search_user_supplied():

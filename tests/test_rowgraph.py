@@ -23,6 +23,7 @@ from kotzigcdc.rowgraph import (
     row_contract,
     row_graph_from_json,
     row_graph_to_json,
+    solve_gf2,
 )
 from kotzigcdc.amiable import permute_component_colors
 from tests.test_frame import cube_two_squares_frame, monochromatic_coloring, prism_hamiltonian_frame
@@ -230,6 +231,92 @@ def test_extend_to_amiable_respects_fixed_f():
     g = extend_to_amiable(r, f)
     assert g is not None
     assert is_amiable(r, AmiableColoring(f=f, g=g))
+
+
+def extend_by_backtracking(r: RowGraph, f: dict) -> dict | None:
+    """An edge coloring g making (f, g) amiable, or None.
+
+    Every edge avoids its two endpoint colors, which leaves one or two
+    choices; the per-column parity condition is checked as soon as a
+    column's last incident edge is assigned.  The oracle for the GF(2)
+    extend_to_amiable.
+    """
+    for j in range(1, r.s + 1):
+        colors = [f[v] for v in r.column(j)]
+        if len(set(colors)) != len(colors):
+            return None
+
+    edges = list(r.edges)
+    remaining = {j: 0 for j in range(1, r.s + 1)}
+    for e in edges:
+        for col in {e.a[1], e.b[1]}:
+            remaining[col] += 1
+    counts = {(j, c): 0 for j in range(1, r.s + 1) for c in (1, 2, 3)}
+    g: dict = {}
+
+    def column_ok(j: int) -> bool:
+        return all(counts[(j, c)] % 2 == 0 for c in (1, 2, 3))
+
+    def assign(idx: int) -> bool:
+        if idx == len(edges):
+            return True
+        e = edges[idx]
+        cols = {e.a[1], e.b[1]}
+        allowed = [c for c in (1, 2, 3) if c != f[e.a] and c != f[e.b]]
+        for color in allowed:
+            g[e.eid] = color
+            for j in cols:
+                counts[(j, color)] += 1
+                remaining[j] -= 1
+            ok = all(remaining[j] > 0 or column_ok(j) for j in cols)
+            if ok and assign(idx + 1):
+                return True
+            for j in cols:
+                counts[(j, color)] -= 1
+                remaining[j] += 1
+            del g[e.eid]
+        return False
+
+    if assign(0):
+        return dict(g)
+    return None
+
+
+def test_extension_matches_backtracking_at_every_f():
+    """Every orbit with s <= 2 and at most 6 edges, or s = 3 and at most 4,
+    eulerian or not, at all 6^s vertex colorings: 27,510 pairs.  The GF(2)
+    answer is the backtracking one, down to the coloring returned."""
+    perms = list(itertools.permutations((1, 2, 3)))
+    pairs = extended = 0
+    for s, max_edges in ((1, 6), (2, 6), (3, 4)):
+        for r in enumerate_row_graphs(s, max_edges, eulerian_only=False, up_to_rearrangement=True):
+            for combo in itertools.product(perms, repeat=s):
+                f = {(i, j): combo[j - 1][i - 1] for j in range(1, s + 1) for i in (1, 2, 3)}
+                g = extend_to_amiable(r, f)
+                assert g == extend_by_backtracking(r, f)
+                if g is not None:
+                    assert is_amiable(r, AmiableColoring(f=f, g=g))
+                    extended += 1
+                pairs += 1
+    assert pairs == 27_510
+    assert 0 < extended < pairs
+
+
+def test_solve_gf2_against_every_assignment():
+    rng = random.Random(11)
+    for _ in range(400):
+        nvars = rng.randrange(0, 6)
+        rows = [rng.getrandbits(nvars + 1) for _ in range(rng.randrange(0, 8))]
+        solutions = [
+            x
+            for x in range(1 << nvars)
+            if all(bin(row & x).count("1") % 2 == row >> nvars for row in rows)
+        ]
+        # least in the order that compares bit 0 first
+        least = min(solutions, key=lambda x: [x >> k & 1 for k in range(nvars)], default=None)
+        assert solve_gf2(rows, nvars) == least
+    assert solve_gf2([0b11, 0b01], 1) is None  # x = 1 and x = 0
+    assert solve_gf2([], 0) == 0
 
 
 # -- enumeration and serialization -----------------------------------------------------
