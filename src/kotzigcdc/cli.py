@@ -51,7 +51,8 @@ class RunReport:
     re-verifies when the outcome says so."""
 
     name: str
-    outcome: str = "pending"  # verified | no_frame | no_witness | invariant_error | input_error
+    # verified | no_frame | no_witness | invariant_error | input_error | crashed
+    outcome: str = "pending"
     frames_tried: int = 0
     frame: dict | None = None
     certificate: dict | None = None
@@ -222,7 +223,11 @@ def cmd_scan_rows(args) -> int:
                 s, args.max_edges, eulerian_only=True, up_to_rearrangement=True
             ):
                 scanned += 1
-                if brute_force_amiable(r, max_edges=args.oracle_limit) is None:
+                try:
+                    found = brute_force_amiable(r, max_edges=args.oracle_limit)
+                except OracleLimitError as exc:
+                    raise OracleLimitError(f"{exc}; raise --oracle-limit to scan it") from None
+                if found is None:
                     counterexamples += 1
                     payload = row_graph_to_json(r)
                     if archive_dir:
@@ -243,8 +248,9 @@ def _corpus_worker(payload):
     """Run one corpus graph; a two_factor miss is retried with exhaustive.
     The returned report's seconds cover both attempts.  A graph the
     pipeline rejects as input, or whose first search runs past its size
-    guard, ends ``input_error`` with the message, so one bad instance never
-    ends the run."""
+    guard, ends ``input_error`` with the message; any other exception ends
+    ``crashed`` with its type and message.  So one bad instance never ends
+    the run."""
     name, graph_json, strategy = payload
     from .io import graph_from_json
 
@@ -266,6 +272,13 @@ def _corpus_worker(payload):
             name=name,
             outcome="input_error",
             error=str(exc),
+            seconds=time.perf_counter() - start,
+        )
+    except Exception as exc:  # the corpus run goes on; the report keeps the fault
+        return RunReport(
+            name=name,
+            outcome="crashed",
+            error=f"{type(exc).__name__}: {exc}",
             seconds=time.perf_counter() - start,
         )
 
@@ -328,7 +341,7 @@ def cmd_corpus(args) -> int:
     if args.report:
         Path(args.report).write_text(json.dumps(aggregate, indent=2, default=repr) + "\n")
     print(json.dumps({"instances": len(reports), "outcomes": aggregate["outcomes"]}, indent=2))
-    if "invariant_error" in by_outcome:
+    if "invariant_error" in by_outcome or "crashed" in by_outcome:
         return EXIT_INVALID
     if "input_error" in by_outcome:
         return EXIT_INPUT

@@ -5,42 +5,100 @@ same edge twice is allowed) and join the two new vertices.  Reversing that
 move fails only on graphs in which every edge either lies in a
 digon-with-apex gadget or is a bridge between such gadgets; on at most 10
 vertices exactly two such graphs exist and they are injected explicitly.
-Isomorphism reduction uses hash buckets plus exact multiplicity-aware
-matching.
+The generator is proved complete up to 10; complete at 12 by count against
+A005967.  Isomorphism reduction keeps the first candidate of each exact
+canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import lru_cache
-
-import networkx as nx
-from networkx.algorithms.isomorphism import numerical_edge_match
 
 from .catalog import theta_graph
 from .multigraph import Multigraph, is_connected
 
 
-def to_networkx(g: Multigraph) -> nx.Graph:
-    """Simple graph with parallel edges folded into an integer attribute."""
-    out = nx.Graph()
-    out.add_nodes_from(g.vertices)
-    for eid, a, b in g.edges():
-        if out.has_edge(a, b):
-            out[a][b]["m"] += 1
-        else:
-            out.add_edge(a, b, m=1)
-    return out
+def _refine(colour: list, nbrs: list[tuple]) -> list[int]:
+    """Coarsest equitable refinement: split cells by the sorted (colour,
+    multiplicity) pairs of each vertex's neighbours until nothing splits.
+    The colours returned are ranks of sorted keys, so they do not depend
+    on labels; the colours given may be any comparable values."""
+    cells = len(set(colour))
+    while True:
+        keys = [
+            (c, tuple(sorted([(colour[u], m) for u, m in nb])))
+            for c, nb in zip(colour, nbrs)
+        ]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) in (cells, len(keys)):
+            return colour
+        cells = len(rank)
 
 
-def multigraph_hash(g: Multigraph) -> str:
-    return nx.weisfeiler_lehman_graph_hash(to_networkx(g), edge_attr="m", iterations=4)
+def canonical_form(g: Multigraph) -> tuple:
+    """Exact isomorphism invariant: two multigraphs get the same form iff
+    they are isomorphic.
 
+    Every vertex starts with a colour from its breadth-first distance
+    profile and its edge multiplicities (refinement alone never splits a
+    simple regular graph).  The search refines to an equitable partition, then
+    individualises each vertex of the smallest non-singleton cell in turn,
+    ties broken by colour, down to discrete partitions.  Every choice
+    depends on colours only, so the set of leaves is the same for every
+    labelling.  The form is (n, the lex-min over leaves of the sorted
+    (i, j, multiplicity) triples).
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for _, a, b in g.edges():
+        i, j = index[a], index[b]
+        adj[i][j] = adj[i].get(j, 0) + 1
+        if i != j:
+            adj[j][i] = adj[j].get(i, 0) + 1
+    nbrs = [tuple(d.items()) for d in adj]
+    edges = [(i, j, m) for i, d in enumerate(adj) for j, m in d.items() if i <= j]
 
-def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    return nx.is_isomorphic(
-        to_networkx(g1), to_networkx(g2), edge_match=numerical_edge_match("m", 1)
-    )
+    def start_key(v: int) -> tuple:
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        profile = [0] * (max(dist.values()) + 1)
+        for d in dist.values():
+            profile[d] += 1
+        return tuple(profile), tuple(sorted(adj[v].values()))
+
+    best = None
+
+    def search(colour: list) -> None:
+        nonlocal best
+        colour = _refine(colour, nbrs)
+        if len(set(colour)) == n:
+            leaf = sorted([
+                (colour[i], colour[j], m) if colour[i] < colour[j] else (colour[j], colour[i], m)
+                for i, j, m in edges
+            ])
+            if best is None or leaf < best:
+                best = leaf
+            return
+        size: dict[int, int] = {}
+        for c in colour:
+            size[c] = size.get(c, 0) + 1
+        cell = min((k, c) for c, k in size.items() if k > 1)[1]
+        for v in range(n):
+            if colour[v] == cell:
+                search([2 * c + (u != v) for u, c in enumerate(colour)])
+
+    search([start_key(v) for v in range(n)])
+    return n, tuple(best)
 
 
 def _renumber(edges: list[tuple]) -> Multigraph:
@@ -98,29 +156,22 @@ def balloon_star() -> Multigraph:
 
 
 def _dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
-    buckets: dict[str, list[Multigraph]] = {}
+    """The first graph of each isomorphism class, in input order."""
+    seen = set()
     out = []
     for g in graphs:
-        key = multigraph_hash(g)
-        bucket = buckets.setdefault(key, [])
-        if any(are_isomorphic(g, seen) for seen in bucket):
-            continue
-        bucket.append(g)
-        out.append(g)
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
+            out.append(g)
     return out
 
 
-@lru_cache(maxsize=None)
-def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
-    """All connected cubic loopless multigraphs on n vertices, up to
-    isomorphism."""
-    if n <= 0 or n % 2 != 0:
-        return ()
-    if n == 2:
-        return (theta_graph(),)
-    parents = connected_cubic_multigraphs(n - 2)
+def _candidates(n: int) -> list[Multigraph]:
+    """Every expansion of every graph on n - 2 vertices, in generation
+    order, then the gadget graph injected at n (n >= 4, even)."""
     candidates: list[Multigraph] = []
-    for parent in parents:
+    for parent in connected_cubic_multigraphs(n - 2):
         eids = list(parent.edge_ids)
         for i, e1 in enumerate(eids):
             for e2 in eids[i:]:
@@ -131,7 +182,18 @@ def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
         candidates.append(balloon_star())
     for g in candidates:
         assert g.is_cubic() and not g.has_loops() and is_connected(g)
-    return tuple(_dedupe(candidates))
+    return candidates
+
+
+@lru_cache(maxsize=None)
+def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
+    """All connected cubic loopless multigraphs on n vertices, up to
+    isomorphism."""
+    if n <= 0 or n % 2 != 0:
+        return ()
+    if n == 2:
+        return (theta_graph(),)
+    return tuple(_dedupe(_candidates(n)))
 
 
 def is_simple(g: Multigraph) -> bool:

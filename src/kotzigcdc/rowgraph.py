@@ -360,11 +360,12 @@ def brute_force_amiable(
     form); all other columns range over their 6 assignments.  Refuses
     oversized instances unless force=True.
     """
-    if not force and (len(r.edges) > max_edges or r.s > max_s):
+    if not force and len(r.edges) > max_edges:
         raise OracleLimitError(
-            f"instance too large for the oracle ({len(r.edges)} edges, s={r.s}); "
-            "pass force=True to override"
+            f"instance too large for the oracle: {len(r.edges)} edges > max_edges={max_edges}"
         )
+    if not force and r.s > max_s:
+        raise OracleLimitError(f"instance too large for the oracle: s={r.s} > max_s={max_s}")
     perms = _column_color_assignments(r.rows)
     identity = tuple(range(1, r.rows + 1))
     per_column = [[identity]] + [perms] * (r.s - 1) if r.s >= 1 else []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,7 @@ def assert_one_input_error_line(capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert "Traceback" not in captured.err
+    return err[0]
 
 
 def test_pipeline_vertices_not_a_list(tmp_path, capsys):
@@ -182,7 +187,8 @@ def test_scan_rows_refuses_many_columns(tmp_path, capsys):
 def test_scan_rows_oracle_limit(capsys):
     # orbits with 6 edges exceed the oracle's limit of 4
     assert main(["scan-rows", "--columns", "2", "--max-edges", "6", "--oracle-limit", "4"]) == 3
-    assert_one_input_error_line(capsys)
+    line = assert_one_input_error_line(capsys)
+    assert "6 edges > max_edges=4" in line and "--oracle-limit" in line
 
 
 def test_corpus_directory(tmp_path, capsys):
@@ -236,6 +242,42 @@ def test_corpus_isolates_an_unreadable_file(tmp_path, capsys):
     agg = json.loads(report.read_text())
     assert agg["outcomes"] == {"input_error": 2, "verified": 1}
     assert main(["corpus", str(tmp_path / "missing")]) == 3
+
+
+def test_corpus_isolates_a_crashing_instance(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "graphs"
+    d.mkdir()
+    save_graph_json(theta_graph(), d / "theta.json")
+    save_graph_json(k4(), d / "k4.json")
+    real_pipeline = cli.run_pipeline
+
+    def crash_on_k4(g, name="graph", **kwargs):
+        if name.startswith("k4"):
+            raise RuntimeError("boom")
+        return real_pipeline(g, name=name, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", crash_on_k4)
+    report = tmp_path / "agg.json"
+    assert main(["corpus", str(d), "--jobs", "1", "--report", str(report)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    agg = json.loads(report.read_text())
+    assert agg["outcomes"] == {"crashed": 1, "verified": 1}
+    by_name = {rep["name"]: rep for rep in agg["reports"]}
+    assert by_name["k4.json[0]"]["error"] == "RuntimeError: boom"
+    assert by_name["theta.json[0]"]["outcome"] == "verified"
+
+
+def test_cli_import_leaves_out_networkx():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, kotzigcdc.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_corpus_generated_small(capsys):

@@ -1,10 +1,23 @@
-import pytest
+import hashlib
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import numerical_edge_match
+
+from kotzigcdc import corpus
 from kotzigcdc.corpus import (
-    are_isomorphic,
+    _candidates,
+    _dedupe,
     balloon_flower,
     balloon_star,
     brute_force_cubic_multigraphs,
+    canonical_form,
     connected_cubic_multigraphs,
     connected_cubic_simple_graphs,
     cubic_corpus,
@@ -12,7 +25,111 @@ from kotzigcdc.corpus import (
     is_simple,
 )
 from kotzigcdc.catalog import theta_graph
-from kotzigcdc.multigraph import is_connected
+from kotzigcdc.multigraph import Multigraph, is_connected
+
+
+# -- the VF2 oracle: networkx isomorphism inside Weisfeiler-Lehman buckets ---
+
+
+def to_networkx(g: Multigraph) -> nx.Graph:
+    """Simple graph with parallel edges folded into an integer attribute."""
+    out = nx.Graph()
+    out.add_nodes_from(g.vertices)
+    for eid, a, b in g.edges():
+        if out.has_edge(a, b):
+            out[a][b]["m"] += 1
+        else:
+            out.add_edge(a, b, m=1)
+    return out
+
+
+def multigraph_hash(g: Multigraph) -> str:
+    return nx.weisfeiler_lehman_graph_hash(to_networkx(g), edge_attr="m", iterations=4)
+
+
+def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
+    return nx.is_isomorphic(
+        to_networkx(g1), to_networkx(g2), edge_match=numerical_edge_match("m", 1)
+    )
+
+
+def vf2_dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
+    buckets: dict[str, list[Multigraph]] = {}
+    out = []
+    for g in graphs:
+        bucket = buckets.setdefault(multigraph_hash(g), [])
+        if any(are_isomorphic(g, seen) for seen in bucket):
+            continue
+        bucket.append(g)
+        out.append(g)
+    return out
+
+
+def relabel(g: Multigraph, rng: random.Random) -> Multigraph:
+    """The same graph with vertex ids, vertex order, edge ids, edge order
+    and the order of each edge's ends all shuffled."""
+    verts = list(g.vertices)
+    new_ids = rng.sample(range(10 * len(verts)), len(verts))
+    name = dict(zip(verts, new_ids))
+    order = list(new_ids)
+    rng.shuffle(order)
+    edges = g.edges()
+    rng.shuffle(edges)
+    eids = rng.sample(range(10 * len(edges)), len(edges))
+    out = []
+    for eid, (_, a, b) in zip(eids, edges):
+        a, b = (name[a], name[b]) if rng.random() < 0.5 else (name[b], name[a])
+        out.append((eid, a, b))
+    return Multigraph(order, out)
+
+
+def test_canonical_form_ignores_labels():
+    rng = random.Random(2017)
+    for g in cubic_corpus(10):
+        form = canonical_form(g)
+        for _ in range(3):
+            assert canonical_form(relabel(g, rng)) == form
+
+
+def test_canonical_form_separates_the_corpus():
+    graphs = cubic_corpus(10)
+    assert len(graphs) == 120
+    assert len({canonical_form(g) for g in graphs}) == 120
+
+
+def test_canonical_form_agrees_with_vf2_up_to_8():
+    rng = random.Random(8)
+    graphs = cubic_corpus(8)
+    assert len(graphs) == 29
+    copies = [relabel(g, rng) for g in graphs]
+    for g, h in itertools.product(graphs, copies):
+        assert (canonical_form(g) == canonical_form(h)) == are_isomorphic(g, h)
+
+
+def test_dedupe_matches_vf2_dedupe_up_to_10():
+    for n in range(4, 11, 2):
+        candidates = _candidates(n)
+        kept, oracle = _dedupe(candidates), vf2_dedupe(candidates)
+        assert len(kept) == len(oracle)
+        assert all(a is b for a, b in zip(kept, oracle))
+
+
+def test_corpus_does_not_depend_on_the_hash_seed():
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    code = (
+        "import hashlib; from kotzigcdc.corpus import cubic_corpus; "
+        "print(hashlib.sha256(repr([(list(g.vertices), g.edges()) "
+        "for g in cubic_corpus(8)]).encode()).hexdigest())"
+    )
+    digests = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(out.stdout.strip())
+    plain = [(list(g.vertices), g.edges()) for g in cubic_corpus(8)]
+    assert digests == [hashlib.sha256(repr(plain).encode()).hexdigest()] * 2
 
 
 def test_known_simple_counts():
@@ -21,6 +138,7 @@ def test_known_simple_counts():
     assert len(connected_cubic_simple_graphs(6)) == 2
     assert len(connected_cubic_simple_graphs(8)) == 5
     assert len(connected_cubic_simple_graphs(10)) == 19
+    assert len(connected_cubic_simple_graphs(12)) == 85  # OEIS A002851
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -33,8 +151,10 @@ def test_expansion_matches_bruteforce(n):
 
 
 def test_multigraph_counts():
-    assert [len(connected_cubic_multigraphs(n)) for n in (2, 4, 6, 8, 10)] == [
-        1, 2, 6, 20, 91,
+    # OEIS A005967; the dedupe is exact, so the count at 12 proves the
+    # generator complete there
+    assert [len(connected_cubic_multigraphs(n)) for n in (2, 4, 6, 8, 10, 12)] == [
+        1, 2, 6, 20, 91, 509,
     ]
 
 
