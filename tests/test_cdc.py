@@ -209,6 +209,31 @@ def test_verify_detects_non_cycle():
     assert any("2-regular" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("cycle", [(0, 1, 2, 3, 4, 5), ()])
+def test_verify_detects_disconnected_cycle(cycle):
+    # the two triangles of the prism listed as one cycle, and an empty cycle
+    report = verify_cdc(prism(), CdcCertificate(classes={"1a": (cycle,)}))
+    assert report.violations[0] == "1a[0] is disconnected"
+
+
+def test_verify_detects_repeated_edge():
+    report = verify_cdc(theta_graph(), CdcCertificate(classes={"1a": ((0, 1, 0),)}))
+    assert report.violations[0] == "1a[0] repeats an edge"
+
+
+def test_verify_lists_bad_degree_vertices_in_host_order():
+    # a square whose host order is not sorted; the path 3-1-2 ends at 3 and 2
+    g = Multigraph([3, 1, 2, 0], [(0, 3, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
+    report = verify_cdc(g, CdcCertificate(classes={"1a": ((0, 1),)}))
+    assert report.violations[0] == "1a[0] is not 2-regular at [3, 2]"
+
+
+def test_two_cycle_cover_names_the_first_bad_vertex_in_host_order():
+    g = Multigraph([2, 1, 0], [(0, 0, 1), (1, 1, 2)])
+    with pytest.raises(HypothesisError, match=r"^vertex 2 has degree 1 in the 2-factor$"):
+        two_cycle_cover_even(g, {0, 1}, set())
+
+
 def test_verify_detects_unknown_edge():
     g = theta_graph()
     cert = CdcCertificate(classes={"1a": ((0, 99),)})
