@@ -18,13 +18,7 @@ from typing import Iterable
 from .amiable import ConstructionTrace, permute_component_colors
 from .errors import ConstructionInvariantError, GraphFormatError, HypothesisError
 from .frame import Frame, PerfectColoring
-from .multigraph import (
-    EdgeId,
-    Multigraph,
-    components as graph_components,
-    sorted_edge_ids,
-    sorted_vertices,
-)
+from .multigraph import EdgeId, Multigraph, _sort_key, sorted_edge_ids
 from .rowgraph import AmiableColoring, build_row_graph, is_amiable
 
 CLASS_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
@@ -99,18 +93,21 @@ def partition_chords(f: Frame, coloring: PerfectColoring) -> tuple[frozenset, fr
     return frozenset(parts[1]), frozenset(parts[2]), frozenset(parts[3])
 
 
-def _traverse_cycle(g: Multigraph, eids: set, start=None, first_edge=None) -> tuple[list, list]:
-    """Walk a 2-regular connected edge set; returns (vertices, edges) in
-    closed order (vertices[0] repeated implicitly)."""
+def _incidence(g: Multigraph, eids: Iterable[EdgeId]) -> dict:
+    """Vertex -> the ids of eids at it, a loop listed twice, so that list
+    lengths are degrees in the edge set."""
     at: dict = {}
     for eid in eids:
         a, b = g.endpoints(eid)
         at.setdefault(a, []).append(eid)
         at.setdefault(b, []).append(eid)
-    if start is None:
-        start = sorted_vertices(g.subgraph_of_edges(eids))[0]
-    if first_edge is None:
-        first_edge = sorted_edge_ids(at[start])[0]
+    return at
+
+
+def _traverse_cycle(g: Multigraph, at: dict, start, first_edge) -> tuple[list, list]:
+    """Walk the cycle through first_edge from start on an incidence map
+    (see _incidence); returns (vertices, edges) in closed order
+    (vertices[0] repeated implicitly)."""
     vertices = [start]
     edges = [first_edge]
     cur = g.other_end(first_edge, start)
@@ -118,31 +115,47 @@ def _traverse_cycle(g: Multigraph, eids: set, start=None, first_edge=None) -> tu
     while cur != start:
         vertices.append(cur)
         nxt = [e for e in at[cur] if e != prev_edge]
-        assert len(nxt) == 1, "walk requires a 2-regular edge set"
+        if len(nxt) != 1:
+            raise HypothesisError("walk requires a 2-regular edge set")
         prev_edge = nxt[0]
         edges.append(prev_edge)
         cur = g.other_end(prev_edge, cur)
     return vertices, edges
 
 
-def _cycle_components(g: Multigraph, eids: Iterable[EdgeId]) -> list[set]:
-    """Split a 2-regular edge set into its cycles (as edge-id sets)."""
+def _canonical_cycle(g: Multigraph, at: dict, vertices: list) -> tuple:
+    """A cycle's edges from its least vertex along the least edge there
+    (sorted_edge_ids orders vertices as sorted_vertices does)."""
+    start = sorted_edge_ids(vertices)[0]
+    return tuple(_traverse_cycle(g, at, start, sorted_edge_ids(at[start])[0])[1])
+
+
+def _cycle_components(g: Multigraph, eids: Iterable[EdgeId]) -> tuple[dict, list[list]]:
+    """Split a 2-regular edge set into its cycles, in the order of their
+    least edge ids.  Returns the incidence map of the set and, per cycle,
+    its vertices in walk order.  A vertex of another degree raises
+    HypothesisError, naming the first such vertex in host order."""
     eids = set(eids)
-    sub = g.subgraph_of_edges(eids)
-    for v in sub.vertices:
-        if sub.degree(v) != 2:
-            raise HypothesisError(f"vertex {v!r} has degree {sub.degree(v)} in the 2-factor")
+    at = _incidence(g, eids)
+    bad = [v for v, here in at.items() if len(here) != 2]
+    if bad:
+        v = g.in_host_order(bad)[0]
+        raise HypothesisError(f"vertex {v!r} has degree {len(at[v])} in the 2-factor")
+    seen: set = set()
     out = []
-    remaining = set(eids)
-    while remaining:
-        seed = sorted_edge_ids(remaining)[0]
-        _, cycle_edges = _traverse_cycle(g, remaining, start=min(
-            g.endpoints(seed), key=lambda v: (str(type(v)), repr(v))
-        ))
-        comp = set(cycle_edges)
-        out.append(comp)
-        remaining -= comp
-    return out
+    for seed in sorted_edge_ids(eids):
+        if seed in seen:
+            continue
+        vertices, edges = _traverse_cycle(g, at, g.endpoints(seed)[0], seed)
+        seen.update(edges)
+        out.append(vertices)
+    return at, out
+
+
+def _canonical_cycles(g: Multigraph, eids: set) -> list[tuple]:
+    """The cycles of a 2-regular edge set, each as _canonical_cycle reads it."""
+    at, cycles = _cycle_components(g, eids)
+    return [_canonical_cycle(g, at, verts) for verts in cycles]
 
 
 def two_cycle_cover_even(
@@ -161,15 +174,11 @@ def two_cycle_cover_even(
     matching_edges = set(matching_edges)
     if cycle_edges & matching_edges:
         raise HypothesisError("cycle and matching edge sets overlap")
-    cycles = _cycle_components(g, cycle_edges)
-    on_cycles = set()
-    for comp in cycles:
-        for eid in comp:
-            on_cycles.update(g.endpoints(eid))
+    at, cycles = _cycle_components(g, cycle_edges)
     attach_at: dict = {}
     for eid in matching_edges:
         for v in g.endpoints(eid):
-            if v not in on_cycles:
+            if v not in at:
                 raise HypothesisError(f"matching edge {eid!r} endpoint {v!r} misses the cycles")
             if v in attach_at:
                 raise HypothesisError(f"vertex {v!r} carries two attachment edges")
@@ -179,28 +188,21 @@ def two_cycle_cover_even(
 
     class_a: set = set(matching_edges)
     class_b: set = set(matching_edges)
-    lonely_cycles: list[set] = []
-    for comp in cycles:
-        verts = set()
-        for eid in comp:
-            verts.update(g.endpoints(eid))
-        attachments = sorted(
-            (v for v in verts if v in attach_at), key=lambda v: (str(type(v)), repr(v))
-        )
+    lonely_cycles: list[tuple] = []
+    for verts in cycles:
+        attachments = sorted((v for v in verts if v in attach_at), key=_sort_key)
         if not attachments:
-            lonely_cycles.append(comp)
+            lonely_cycles.append(_canonical_cycle(g, at, verts))
             continue
         if len(attachments) % 2 != 0:
             raise HypothesisError(
                 f"cycle through {attachments[0]!r} has {len(attachments)} attachment points"
             )
         start = attachments[0]
-        candidates = sorted(
-            ((g.other_end(e, start), e) for e in comp if start in g.endpoints(e)),
-            key=lambda t: (str(type(t[0])), repr(t[0]), str(type(t[1])), repr(t[1])),
+        first_edge = min(
+            at[start], key=lambda e: (*_sort_key(g.other_end(e, start)), *_sort_key(e))
         )
-        first_edge = candidates[0][1]
-        order_vertices, order_edges = _traverse_cycle(g, comp, start=start, first_edge=first_edge)
+        order_vertices, order_edges = _traverse_cycle(g, at, start, first_edge)
         # order_edges[k] joins order_vertices[k] to order_vertices[k+1]
         segments: list[list] = [[]]
         for pos, eid in enumerate(order_edges):
@@ -208,17 +210,14 @@ def two_cycle_cover_even(
             nxt_vertex = order_vertices[(pos + 1) % len(order_vertices)]
             if nxt_vertex in attach_at and pos != len(order_edges) - 1:
                 segments.append([])
-        assert len(segments) == len(attachments), "one arc per attachment point"
+        if len(segments) != len(attachments):
+            raise ConstructionInvariantError("one arc per attachment point")
         for idx, seg in enumerate(segments):
             (class_a if idx % 2 == 0 else class_b).update(seg)
 
-    cycles_a = [
-        tuple(_traverse_cycle(g, comp)[1]) for comp in _cycle_components(g, class_a)
-    ] if class_a else []
-    cycles_b = [
-        tuple(_traverse_cycle(g, comp)[1]) for comp in _cycle_components(g, class_b)
-    ] if class_b else []
-    cycles_a.extend(tuple(_traverse_cycle(g, comp)[1]) for comp in lonely_cycles)
+    cycles_a = _canonical_cycles(g, class_a)
+    cycles_b = _canonical_cycles(g, class_b)
+    cycles_a.extend(lonely_cycles)
     return cycles_a, cycles_b
 
 
@@ -247,8 +246,9 @@ def construct_6cdc(
     amiable: AmiableColoring,
     trace: ConstructionTrace | None = None,
 ) -> CdcCertificate:
-    """Build a verified 6-class cycle double cover from an amiable coloring
-    of the row graph of (g, f, coloring)."""
+    """Assemble a 6-class cycle double cover from an amiable coloring of
+    the row graph of (g, f, coloring).  The caller verifies it (verify_cdc),
+    as run_pipeline does."""
     trace = trace or ConstructionTrace()
     r = build_row_graph(g, f, coloring)
     if not is_amiable(r, amiable):
@@ -294,13 +294,7 @@ def construct_6cdc(
             ) from exc
         classes[f"{color}a"] = tuple(cycles_a)
         classes[f"{color}b"] = tuple(cycles_b)
-    certificate = CdcCertificate(classes=classes)
-    report = verify_cdc(g, certificate)
-    if not report.valid:
-        raise ConstructionInvariantError(
-            f"constructed certificate failed verification: {report.violations}"
-        )
-    return certificate
+    return CdcCertificate(classes=classes)
 
 
 @dataclass
@@ -340,11 +334,14 @@ def verify_cdc(g: Multigraph, cert: CdcCertificate) -> CdcReport:
             if missing:
                 violations.append(f"{name} uses unknown edges {missing}")
                 continue
-            sub = g.subgraph_of_edges(eids)
-            bad_degree = [v for v in sub.vertices if sub.degree(v) != 2]
+            at = _incidence(g, eids)
+            bad_degree = [v for v, here in at.items() if len(here) != 2]
             if bad_degree:
-                violations.append(f"{name} is not 2-regular at {bad_degree}")
-            elif len(graph_components(sub)) != 1:
+                violations.append(f"{name} is not 2-regular at {g.in_host_order(bad_degree)}")
+            elif not eids or len(
+                _traverse_cycle(g, at, g.endpoints(eids[0])[0], eids[0])[1]
+            ) != len(eids):
+                # a 2-regular edge set is one cycle iff one walk takes in all of it
                 violations.append(f"{name} is disconnected")
             overlap = used_in_class & set(eids)
             if overlap:

@@ -152,16 +152,17 @@ def validate_frame(
             raise FrameError("labeling does not match the frame components")
         comps = [sorted(part, key=lambda v: (str(type(v)), repr(v))) for part in wanted]
 
+    position = {v: pos for pos, comp in enumerate(comps) for v in comp}
+    eids_of: list[list[EdgeId]] = [[] for _ in comps]
+    for eid in sorted_edge_ids(frame_edges):
+        eids_of[position[g.endpoints(eid)[0]]].append(eid)
+
     out: list[FrameComponent] = []
-    for idx, comp_vertices in enumerate(comps, start=1):
+    for idx, (comp_vertices, comp_eids) in enumerate(zip(comps, eids_of), start=1):
         if len(comp_vertices) % 2 != 0:
             raise FrameError(
                 f"component {sorted(map(repr, comp_vertices))} has odd order {len(comp_vertices)}"
             )
-        vset = set(comp_vertices)
-        comp_eids = [
-            eid for eid in sorted_edge_ids(frame_edges) if g.endpoints(eid)[0] in vset
-        ]
         piece = g.subgraph_of_edges(comp_eids, keep_vertices=comp_vertices)
         cls = classify_component(piece)
         if cls.kind not in (CYCLE, KOTZIG_SUBDIVISION):

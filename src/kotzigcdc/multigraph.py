@@ -24,7 +24,7 @@ class Multigraph:
     preserves degree parity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_vertex_set")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_vertex_set", "_index")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[EdgeId, Vertex, Vertex]]):
         self._vertices: tuple[Vertex, ...] = tuple(vertices)
@@ -44,6 +44,7 @@ class Multigraph:
                 incidence[b].append(eid)
         self._edges = edge_map
         self._incidence = {v: tuple(eids) for v, eids in incidence.items()}
+        self._index: dict[Vertex, int] | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -101,16 +102,23 @@ class Multigraph:
     def has_loops(self) -> bool:
         return any(a == b for a, b in self._edges.values())
 
+    def in_host_order(self, vertices: Iterable[Vertex]) -> list[Vertex]:
+        """The given vertices of this graph, sorted by their position in
+        ``self.vertices``: O(k log k) for k of them, from a position index
+        built on the first call and kept."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self._vertices)}
+        return sorted(vertices, key=self._index.__getitem__)
+
     def subgraph_of_edges(self, eids: Iterable[EdgeId], keep_vertices: Iterable[Vertex] = ()) -> "Multigraph":
-        """Subgraph induced by an edge set plus any extra isolated vertices."""
-        eids = list(eids)
-        verts = set(keep_vertices)
-        for eid in eids:
-            a, b = self.endpoints(eid)
+        """Subgraph induced by an edge set plus any extra isolated vertices
+        (those not in this graph are dropped), vertices in host order."""
+        edges = [(eid, *self.endpoints(eid)) for eid in eids]
+        verts = {v for v in keep_vertices if v in self._vertex_set}
+        for _, a, b in edges:
             verts.add(a)
             verts.add(b)
-        ordered = [v for v in self._vertices if v in verts]
-        return Multigraph(ordered, [(e, *self.endpoints(e)) for e in eids])
+        return Multigraph(self.in_host_order(verts), edges)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Multigraph({len(self._vertices)} vertices, {len(self._edges)} edges)"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -335,3 +336,25 @@ def test_run_pipeline_two_k_frame_end_to_end():
     assert rep.outcome == "no_witness"
     # the graph itself still has a cover through a different frame
     assert run_pipeline(g3, strategy="two_factor").outcome == "verified"
+
+
+def test_run_pipeline_reports_a_certificate_that_fails_verification(monkeypatch):
+    """construct_6cdc only assembles; run_pipeline's own verify_cdc call is
+    what turns a broken cover into invariant_error."""
+    from kotzigcdc import cdc
+
+    two_cycle_cover_even = cdc.two_cycle_cover_even
+    dropped = []
+
+    def drop_one_cycle(g, cycle_edges, matching_edges):
+        cycles_a, cycles_b = two_cycle_cover_even(g, cycle_edges, matching_edges)
+        if cycles_a and not dropped:
+            dropped.append(cycles_a.pop(0))
+        return cycles_a, cycles_b
+
+    monkeypatch.setattr(cdc, "two_cycle_cover_even", drop_one_cycle)
+    report = run_pipeline(prism(), strategy="two_factor")
+    assert dropped
+    assert report.outcome == "invariant_error"
+    assert report.certificate is None
+    assert re.search(r"edge \d+ is covered 1 times, expected 2", report.error)
