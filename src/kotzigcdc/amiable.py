@@ -484,8 +484,24 @@ def _neighbors_in_row(r: RowGraph, v, row: int) -> int:
     return sum(1 for e in r.edges_at(v) if e.other(v)[0] == row)
 
 
-def _row_component_lists(r: RowGraph) -> dict[int, list[list]]:
-    return {i: components(r.row_subgraph(i)) for i in (1, 2, 3)}
+def _row_components(r: RowGraph) -> list[list]:
+    """The components of rows 1, 2 and 3, each row's subgraph taken with
+    all s of its vertices, so an isolated vertex is a component of its
+    own: one union-find pass over the edges inside a row."""
+    parent = {(i, j): (i, j) for j in range(1, r.s + 1) for i in (1, 2, 3)}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for e in r.edges:
+        if e.a[0] == e.b[0]:
+            parent[root(e.a)] = root(e.b)
+    comps: dict = {}
+    for v in parent:
+        comps.setdefault(root(v), []).append(v)
+    return list(comps.values())
 
 
 def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
@@ -517,10 +533,9 @@ def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None
         same23 = ((2, j) in phi.black) == ((3, j) in phi.black)
         if same23 != rel23[j - 1]:
             return False
-    for i, comps in _row_component_lists(r).items():
-        for comp in comps:
-            if sum(1 for v in comp if v in phi.black) % 2 != 0:
-                return False
+    for comp in _row_components(r):
+        if sum(1 for v in comp if v in phi.black) % 2 != 0:
+            return False
     return True
 
 
@@ -556,12 +571,11 @@ def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
         flip[(3, j)] = flip[(2, j)] ^ int(not rel23[j - 1])
     rhs = 1 << r.s
     equations = []
-    for comps in _row_component_lists(r).values():
-        for comp in comps:
-            row = 0
-            for v in comp:
-                row ^= 1 << (v[1] - 1) | rhs * flip[v]
-            equations.append(row)
+    for comp in _row_components(r):
+        row = 0
+        for v in comp:
+            row ^= 1 << (v[1] - 1) | rhs * flip[v]
+        equations.append(row)
     bits = solve_gf2(equations, r.s)
     if bits is None:
         return None

@@ -24,7 +24,7 @@ class Multigraph:
     preserves degree parity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_vertex_set", "_index")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[EdgeId, Vertex, Vertex]]):
         self._vertices: tuple[Vertex, ...] = tuple(vertices)
@@ -33,6 +33,7 @@ class Multigraph:
             raise GraphFormatError("duplicate vertex ids")
         edge_map: dict[EdgeId, tuple[Vertex, Vertex]] = {}
         incidence: dict[Vertex, list[EdgeId]] = {v: [] for v in self._vertices}
+        loops = []
         for eid, a, b in edges:
             if eid in edge_map:
                 raise GraphFormatError(f"duplicate edge id {eid!r}")
@@ -42,8 +43,13 @@ class Multigraph:
             incidence[a].append(eid)
             if b != a:
                 incidence[b].append(eid)
+            else:
+                loops.append(a)
         self._edges = edge_map
         self._incidence = {v: tuple(eids) for v, eids in incidence.items()}
+        self._degree = {v: len(eids) for v, eids in incidence.items()}
+        for v in loops:  # listed once at v, a loop counts 2
+            self._degree[v] += 1
         self._index: dict[Vertex, int] | None = None
 
     # -- accessors ---------------------------------------------------------
@@ -80,7 +86,7 @@ class Multigraph:
         return self._incidence[v]
 
     def degree(self, v: Vertex) -> int:
-        return sum(2 if self.is_loop(e) else 1 for e in self._incidence[v])
+        return self._degree[v]
 
     def other_end(self, eid: EdgeId, v: Vertex) -> Vertex:
         a, b = self.endpoints(eid)

@@ -285,28 +285,53 @@ def solve_gf2(rows: Iterable[int], nvars: int) -> int | None:
 
     Each row is a bit mask: bit k is the coefficient of variable k, bit
     nvars the right-hand side.  A solution is returned as a mask of the
-    variables set to 1.  Every row is pivoted on its highest variable and
-    the pivot rows are kept fully reduced, so a pivot depends only on free
-    variables below it; with every free variable 0 the answer is the least
-    solution when bit 0 is compared first, then bit 1, and so on.
+    variables set to 1: the least one when bit 0 is compared first, then
+    bit 1, and so on (see _least_solution).
     """
-    rhs = 1 << nvars
-    pivots: dict[int, int] = {}
+    pivots = [0] * nvars
+    if _add_rows(pivots, rows, nvars) is None:
+        return None
+    return _least_solution(pivots, nvars)
+
+
+def _add_rows(pivots: list[int], rows: Iterable[int], nvars: int) -> list[int] | None:
+    """Add rows to an echelon system over GF(2), or refuse them.
+
+    pivots[b] is the row pivoted on variable b, its highest, or 0.
+    Returns the pivots added, or None if the rows make the system
+    inconsistent, in which case it is left as it was.  Pivot rows are not
+    reduced against each other, so undoing an addition is clearing the
+    pivots it returned.
+    """
+    var_mask = (1 << nvars) - 1
+    added = []
     for row in rows:
-        for bit, pivot_row in pivots.items():
-            if row >> bit & 1:
-                row ^= pivot_row
-        low = row & (rhs - 1)
-        if not low:
+        while low := row & var_mask:
+            bit = low.bit_length() - 1
+            pivot_row = pivots[bit]
+            if not pivot_row:
+                pivots[bit] = row
+                added.append(bit)
+                break
+            row ^= pivot_row
+        else:
             if row:
+                for bit in added:
+                    pivots[bit] = 0
                 return None
-            continue
-        bit = low.bit_length() - 1
-        for other, other_row in pivots.items():
-            if other_row >> bit & 1:
-                pivots[other] = other_row ^ row
-        pivots[bit] = row
-    return sum(1 << bit for bit, row in pivots.items() if row & rhs)
+    return added
+
+
+def _least_solution(pivots: list[int], nvars: int) -> int:
+    """The least solution of a consistent system kept by _add_rows, with
+    bit 0 compared first.  A pivot row gives its variable from lower ones
+    only, so going up from variable 0 every free variable can be 0 and
+    every pivot variable is forced."""
+    solution = 0
+    for bit, row in enumerate(pivots):
+        if row and ((row & solution).bit_count() ^ row >> nvars) & 1:
+            solution |= 1 << bit
+    return solution
 
 
 def extend_to_amiable(r: RowGraph, f: dict) -> dict | None:
@@ -346,19 +371,49 @@ def extend_to_amiable(r: RowGraph, f: dict) -> dict | None:
     return {e.eid: hi if solution & bit else lo for e, (lo, hi, bit) in zip(r.edges, choices)}
 
 
-def _column_color_assignments(rows: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.permutations(range(1, rows + 1)))
+@functools.cache
+def _column_color_assignments(rows: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(itertools.permutations(range(1, rows + 1))))
 
 
 def brute_force_amiable(
     r: RowGraph, force: bool = False, max_edges: int = 24, max_s: int = 6
 ) -> AmiableColoring | None:
-    """Exhaustive amiable-coloring search.
+    """Exhaustive amiable-coloring search: the first (f, g) in the order
+    below, or None.  Refuses oversized instances unless force=True.
 
     The vertex coloring of the first column is pinned to the identity (a
     global color permutation maps any amiable coloring to one of this
-    form); all other columns range over their 6 assignments.  Refuses
-    oversized instances unless force=True.
+    form); every other column ranges over its assignments in sorted
+    order, column 1 outermost.  The search goes column by column and
+    keeps one linear system over GF(2) for the edge coloring:
+
+    - Encoding.  Colors 1, 2, 3 are the nonzero vectors 01, 10, 11 of
+      GF(2)^2, so a color's value is its vector.  Edge k has a high bit,
+      variable 2k, and a low bit, variable 2k + 1.
+    - Column equations.  Every color count at a column is even exactly
+      when the column degree is even and the colors of the edge ends
+      there sum to zero: if n1 + n2 + n3 is even and so are n2 + n3
+      (high bits) and n1 + n3 (low bits), all three are.  An odd column
+      degree ends the search at once; the two sums are two equations
+      that do not depend on f.
+    - End equations.  An edge at a vertex of color c takes neither 0 nor
+      c, which is n.g = 1 for the nonzero vector n orthogonal to c: the
+      edge's high bit is 1 if c = 1, its low bit is 1 if c = 2, and the
+      two differ if c = 3.  Giving a column its assignment adds one such
+      equation per edge end there.  Written as a mask over (high, low),
+      n is c's value again, so on the edge with high bit h the equation
+      is rhs | c * h.
+    - Pruning.  An inconsistent system stays inconsistent as equations
+      are added, so a partial f whose system has no solution is dropped
+      with every completion.  At a full f the system says exactly which g
+      make (f, g) amiable, so the search is exhaustive and finds the same
+      first f as a walk over all 6^(s-1) colorings.
+    - The edge coloring.  Every row is pivoted on its highest variable,
+      so back-substitution from variable 0 up, with free variables 0,
+      gives the least solution with bit 0 compared first
+      (_least_solution): the least g in edge order, the smaller color
+      first.  That is the g extend_to_amiable returns at this f.
     """
     if not force and len(r.edges) > max_edges:
         raise OracleLimitError(
@@ -366,18 +421,49 @@ def brute_force_amiable(
         )
     if not force and r.s > max_s:
         raise OracleLimitError(f"instance too large for the oracle: s={r.s} > max_s={max_s}")
+    nvars = 2 * len(r.edges)
+    rhs = 1 << nvars
+    ends = [[[] for _ in range(r.rows)] for _ in range(r.s)]  # the high bit of every edge at (i, j)
+    column_bits = [0] * r.s  # the high bits at column j, one per edge end
+    for k, e in enumerate(r.edges):
+        high = 1 << 2 * k
+        for i, j in (e.a, e.b):
+            ends[j - 1][i - 1].append(high)
+            column_bits[j - 1] ^= high
+    if any(bits.bit_count() % 2 for bits in column_bits):
+        return None
+    pivots = [0] * nvars
+    # homogeneous, so always consistent
+    _add_rows(pivots, [row for bits in column_bits for row in (bits, bits << 1)], nvars)
     perms = _column_color_assignments(r.rows)
-    identity = tuple(range(1, r.rows + 1))
-    per_column = [[identity]] + [perms] * (r.s - 1) if r.s >= 1 else []
-    for combo in itertools.product(*per_column):
-        f = {}
-        for j, perm in enumerate(combo, start=1):
-            for i in range(1, r.rows + 1):
-                f[(i, j)] = perm[i - 1]
-        g = extend_to_amiable(r, f)
-        if g is not None:
-            return AmiableColoring(f=f, g=g)
-    return None
+    chosen: list[tuple[int, ...]] = []
+
+    def search(j: int) -> bool:
+        """Assign columns j + 1 onward (chosen holds columns 1 to j), each
+        the first assignment whose end equations keep the system
+        consistent and that extends to the later columns."""
+        if j == r.s:
+            return True
+        for perm in perms if j else perms[:1]:
+            added = _add_rows(pivots, [rhs | c * h for hs, c in zip(ends[j], perm) for h in hs], nvars)
+            if added is None:
+                continue
+            chosen.append(perm)
+            if search(j + 1):
+                return True
+            chosen.pop()
+            for bit in added:
+                pivots[bit] = 0
+        return False
+
+    if not search(0):
+        return None
+    solution = _least_solution(pivots, nvars)
+    return AmiableColoring(
+        f={(i, j): perm[i - 1] for j, perm in enumerate(chosen, start=1) for i in range(1, r.rows + 1)},
+        # edge k's bits, high first, read back as a color
+        g={e.eid: (0, 2, 1, 3)[solution >> 2 * k & 3] for k, e in enumerate(r.edges)},
+    )
 
 
 # -- enumeration of synthetic instances ---------------------------------------

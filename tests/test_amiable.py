@@ -8,6 +8,7 @@ from kotzigcdc.amiable import (
     SYMMETRIC,
     ConstructionTrace,
     ParityColoring,
+    _row_components,
     amiable_to_parity,
     amiable_to_symmetric,
     construct_amiable_concentrated_row,
@@ -25,6 +26,7 @@ from kotzigcdc.catalog import cube_graph, petersen, prism
 from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import HypothesisError
 from kotzigcdc.frame import find_well_connected_frame_coloring, search_frames, validate_frame
+from kotzigcdc.multigraph import components
 from kotzigcdc.rowgraph import (
     AmiableColoring,
     RowGraph,
@@ -242,6 +244,29 @@ def test_parity_bruteforce_and_fast_agree():
             if slow is not None:
                 assert is_parity_coloring(r, slow, mode)
                 assert is_parity_coloring(r, fast, mode)
+
+
+def test_row_components_are_the_row_subgraph_components():
+    """The union-find pass gives, as sets, the components of every row's
+    subgraph with its isolated vertices, on the small orbits and on seeded
+    row graphs with up to 6 columns."""
+    rng = random.Random(29)
+    insts = [
+        r
+        for s in (1, 2, 3)
+        for r in enumerate_row_graphs(s, 5, eulerian_only=False, up_to_rearrangement=True)
+    ]
+    for _ in range(200):
+        s = rng.randint(2, 6)
+        edges = []
+        for k in range(rng.randint(0, 12)):
+            p, q = rng.sample(range(1, s + 1), 2)
+            edges.append((k, (rng.randint(1, 3), p), (rng.randint(1, 3), q)))
+        insts.append(RowGraph(s, edges))
+    for r in insts:
+        expected = {frozenset(c) for i in (1, 2, 3) for c in components(r.row_subgraph(i))}
+        found = [frozenset(c) for c in _row_components(r)]
+        assert len(found) == len(expected) and set(found) == expected
 
 
 def three_way_answers(r):

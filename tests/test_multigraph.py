@@ -19,6 +19,15 @@ def test_degree_counts_loops_twice():
     g = Multigraph([0, 1], [(0, 0, 0), (1, 0, 1)])
     assert g.degree(0) == 3
     assert g.degree(1) == 1
+    with pytest.raises(KeyError):
+        g.degree(2)
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=12))
+def test_degree_table_matches_incident_edges(pairs):
+    g = Multigraph(range(5), [(k, a, b) for k, (a, b) in enumerate(pairs)])
+    for v in g.vertices:
+        assert g.degree(v) == sum(2 if g.is_loop(e) else 1 for e in g.incident_edges(v))
 
 
 def test_duplicate_edge_id_rejected():

@@ -1,8 +1,10 @@
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 
+from kotzigcdc import rowgraph
 from kotzigcdc.catalog import theta_graph
 from kotzigcdc.errors import OracleLimitError
 from kotzigcdc.frame import validate_frame
@@ -223,6 +225,165 @@ def test_oracle_guard():
     with pytest.raises(OracleLimitError):
         brute_force_amiable(r)
     assert brute_force_amiable(r, force=True) is not None
+
+
+def vertex_colorings(r: RowGraph) -> Iterator[dict]:
+    """Every vertex coloring with column 1 pinned to the identity, the
+    other columns in sorted order with the last one fastest."""
+    perms = sorted(itertools.permutations(range(1, r.rows + 1)))
+    per_column = [perms[:1]] + [perms] * (r.s - 1) if r.s else []
+    for combo in itertools.product(*per_column):
+        yield {(i, j): perm[i - 1] for j, perm in enumerate(combo, start=1) for i in range(1, r.rows + 1)}
+
+
+def product_walk_amiable(r: RowGraph) -> tuple[dict, dict] | None:
+    """The first f of vertex_colorings that extends, with g =
+    extend_to_amiable(r, f): the referee for brute_force_amiable."""
+    for f in vertex_colorings(r):
+        g = extend_to_amiable(r, f)
+        if g is not None:
+            return f, g
+    return None
+
+
+def oracle_answer(r: RowGraph, force: bool = False) -> tuple[dict, dict] | None:
+    found = brute_force_amiable(r, force=force)
+    return None if found is None else (found.f, found.g)
+
+
+def closed_walk_row_edges(s: int, target: int, rng: random.Random) -> list:
+    """Closed walks through distinct columns, each step on random rows at
+    both ends, until fewer than two edges are left to reach target: every
+    column degree is even."""
+    edges = []
+    while target - len(edges) >= 2:
+        cols = rng.sample(range(1, s + 1), rng.randint(2, min(s, target - len(edges))))
+        for p, q in zip(cols, cols[1:] + cols[:1]):
+            edges.append((len(edges), (rng.randint(1, 3), p), (rng.randint(1, 3), q)))
+    return edges
+
+
+def six_column_graph(seed: int) -> RowGraph:
+    return RowGraph(6, closed_walk_row_edges(6, 20, random.Random(seed)))
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_oracle_matches_product_walk_on_every_small_orbit(rows):
+    """Every orbit with at most 3 columns and 6 edges, eulerian or not:
+    the same (f, g), or None, as the walk over all colorings."""
+    answers = [
+        oracle_answer(r)
+        for s in range(4)
+        for r in enumerate_row_graphs(s, 6, rows=rows, eulerian_only=False, up_to_rearrangement=True)
+    ]
+    expected = [
+        product_walk_amiable(r)
+        for s in range(4)
+        for r in enumerate_row_graphs(s, 6, rows=rows, eulerian_only=False, up_to_rearrangement=True)
+    ]
+    assert answers == expected
+    assert len(answers) == {2: 541, 3: 1893}[rows]
+    assert 0 < answers.count(None) < len(answers)
+
+
+def test_oracle_matches_product_walk_on_six_column_graphs():
+    """200 seeded eulerian row graphs with 6 columns and a target of 20
+    edges (a walk can stop at 19), where the walk over whole colorings
+    tries up to 2,849 of the 7,776."""
+    for seed in range(200):
+        r = six_column_graph(seed)
+        assert len(r.edges) in (19, 20)
+        assert oracle_answer(r) == product_walk_amiable(r), seed
+
+
+def test_oracle_matches_product_walk_at_the_edges():
+    # no columns: the empty coloring
+    assert oracle_answer(RowGraph(0, [])) == ({}, {}) == product_walk_amiable(RowGraph(0, []))
+    # columns 1 and 3 have degree 3
+    odd = RowGraph(3, [(0, (1, 1), (1, 2)), (1, (2, 1), (2, 3)), (2, (3, 2), (3, 3)), (3, (1, 1), (1, 3))])
+    assert oracle_answer(odd) is None and product_walk_amiable(odd) is None
+    # past the edge guard, with force=True
+    big = RowGraph(2, [(i, (1, 1), (2, 2)) for i in range(26)])
+    assert oracle_answer(big, force=True) == product_walk_amiable(big)
+    assert product_walk_amiable(big) is not None
+
+
+def test_oracle_encoding():
+    """The facts brute_force_amiable's docstring rests on, over every case."""
+    # colors are vectors of GF(2)^2 (high, low); an end at vertex color c
+    # allows exactly the nonzero g with n.g = 1, where n, as a mask with
+    # the high bit first, is c
+    for c in (1, 2, 3):
+        for g in (1, 2, 3):
+            high, low = g >> 1, g & 1
+            n_high, n_low = c & 1, c >> 1
+            assert (g != c) == ((n_high * high + n_low * low) % 2 == 1)
+    # counts n1, n2, n3 at a column are all even exactly when their sum is
+    # and the high bits (colors 2, 3) and low bits (colors 1, 3) sum to 0
+    for n1, n2, n3 in itertools.product(range(4), repeat=3):
+        all_even = n1 % 2 == n2 % 2 == n3 % 2 == 0
+        assert all_even == ((n1 + n2 + n3) % 2 == (n2 + n3) % 2 == (n1 + n3) % 2 == 0)
+
+
+def test_add_rows_refuses_and_restores():
+    """Rows added one batch at a time are refused exactly when solve_gf2
+    finds the whole system inconsistent, and a refusal leaves the pivots
+    as they were; clearing the pivots an addition returned undoes it."""
+    rng = random.Random(17)
+    for _ in range(300):
+        nvars = rng.randrange(1, 7)
+        pivots = [0] * nvars
+        kept: list[int] = []
+        for _ in range(rng.randrange(1, 5)):
+            batch = [rng.getrandbits(nvars + 1) for _ in range(rng.randrange(1, 4))]
+            before = list(pivots)
+            added = rowgraph._add_rows(pivots, batch, nvars)
+            assert (added is None) == (solve_gf2(kept + batch, nvars) is None)
+            if added is None:
+                assert pivots == before
+                continue
+            if rng.random() < 0.3:
+                for bit in added:
+                    pivots[bit] = 0
+                assert pivots == before
+                continue
+            kept += batch
+            var_mask = (1 << nvars) - 1
+            assert all(
+                row == 0 or (row & var_mask).bit_length() - 1 == bit for bit, row in enumerate(pivots)
+            )
+
+
+# Measured at 21 on that graph (one call adds the column equations), where
+# the walk tries 2,849 colorings.
+SLOWEST_SEED_VISITS = 60
+
+
+def test_oracle_prunes_partial_colorings(monkeypatch):
+    """On seed 191, the slowest of the 200 six-column graphs for the walk
+    over whole colorings, the search adds equations for few partial
+    colorings and never solves a whole one, so a walk shows up as a
+    failure, with no clock involved."""
+    r = six_column_graph(191)
+    calls = {"visits": 0, "whole": 0}
+    add_rows, extend = rowgraph._add_rows, rowgraph.extend_to_amiable
+
+    def counted_add(*args):
+        calls["visits"] += 1
+        return add_rows(*args)
+
+    def counted_extend(*args):
+        calls["whole"] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(rowgraph, "_add_rows", counted_add)
+    monkeypatch.setattr(rowgraph, "extend_to_amiable", counted_extend)
+    found = brute_force_amiable(r)
+    monkeypatch.undo()
+    assert found is not None and is_amiable(r, found)
+    assert r.s <= calls["visits"] < SLOWEST_SEED_VISITS and calls["whole"] == 0
+    tried = 1 + next(k for k, f in enumerate(vertex_colorings(r)) if extend(r, f) is not None)
+    assert tried == 2_849
 
 
 def test_extend_to_amiable_respects_fixed_f():
