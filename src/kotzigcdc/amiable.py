@@ -475,15 +475,6 @@ class ParityColoring:
         )
 
 
-def _degree_within(r: RowGraph, v, rows: set[int]) -> int:
-    return sum(1 for e in r.edges_at(v) if e.a[0] in rows and e.b[0] in rows)
-
-
-def _neighbors_in_row(r: RowGraph, v, row: int) -> int:
-    """Neighbors of v in the given row, counted with edge multiplicity."""
-    return sum(1 for e in r.edges_at(v) if e.other(v)[0] == row)
-
-
 def _row_components(r: RowGraph) -> list[list]:
     """The components of rows 1, 2 and 3, each row's subgraph taken with
     all s of its vertices, so an isolated vertex is a component of its
@@ -505,16 +496,20 @@ def _row_components(r: RowGraph) -> list[list]:
 
 
 def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
-    """Per column: must phi agree on rows (1,2) and on rows (2,3)?"""
+    """Per column: must phi agree on rows (1,2) and on rows (2,3)?
+
+    One pass over the edges counts, for each vertex, its neighbours in
+    each row with edge multiplicity; both relations read those counts."""
+    nbrs = {v: [0, 0, 0, 0] for v in r.vertices()}  # nbrs[v][i]: neighbours in row i
+    for e in r.edges:
+        nbrs[e.a][e.b[0]] += 1
+        nbrs[e.b][e.a[0]] += 1
     rel12 = []
     rel23 = []
     for j in range(1, r.s + 1):
-        a = _degree_within(r, (1, j), {1, 2}) + _neighbors_in_row(r, (2, j), 1)
-        rel12.append(a % 2 == 0)
-        if mode == STANDARD:
-            b = _degree_within(r, (2, j), {2, 3}) + _degree_within(r, (3, j), {2, 3})
-        else:
-            b = _degree_within(r, (2, j), {2, 3}) + _neighbors_in_row(r, (3, j), 2)
+        n1, n2, n3 = nbrs[(1, j)], nbrs[(2, j)], nbrs[(3, j)]
+        rel12.append((n1[1] + n1[2] + n2[1]) % 2 == 0)
+        b = n2[2] + n2[3] + n3[2] + (n3[3] if mode == STANDARD else 0)
         rel23.append(b % 2 == 0)
     return rel12, rel23
 

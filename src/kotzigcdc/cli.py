@@ -322,7 +322,12 @@ def cmd_corpus(args) -> int:
             for idx, g in enumerate(graphs):
                 tasks.append((f"{path.name}[{idx}]", graph_to_json(g), strategy))
     else:
-        for idx, g in enumerate(cubic_corpus(args.max_vertices)):
+        try:
+            graphs = cubic_corpus(args.max_vertices)
+        except OracleLimitError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        for idx, g in enumerate(graphs):
             tasks.append((f"cubic_{g.num_vertices()}v_{idx}", graph_to_json(g), strategy))
     if jobs > 1:
         import multiprocessing

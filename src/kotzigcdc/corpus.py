@@ -3,11 +3,26 @@
 Generation walks upward two vertices at a time: subdivide two edges (the
 same edge twice is allowed) and join the two new vertices.  Reversing that
 move fails only on graphs in which every edge either lies in a
-digon-with-apex gadget or is a bridge between such gadgets; on at most 10
-vertices exactly two such graphs exist and they are injected explicitly.
-The generator is proved complete up to 10; complete at 12 by count against
-A005967.  Isomorphism reduction keeps the first candidate of each exact
-canonical form.
+digon-with-apex gadget or is a bridge between such gadgets.  Such a graph
+is a tree whose t inner vertices (centers) are cubic and whose t + 2
+leaves are gadgets of three vertices each, so it has n = 4t + 6 vertices.
+There is one tree shape for each t <= 3, and the three on at most 14
+vertices are injected explicitly: balloon_flower (6), balloon_star (10)
+and balloon_h (14).  The next one is at 18.  The generator is proved
+complete up to 10 and counted complete at 12 and 14 against A005967
+(509 and 3,608 graphs); above MAX_COMPLETE_ORDER it refuses with
+OracleLimitError.  Isomorphism reduction keeps the first candidate of each
+exact canonical form.
+
+Only one edge pair per automorphism orbit of each parent is expanded
+(McKay, "Isomorph-free exhaustive generation", 1998).  An automorphism that
+maps one pair onto another makes their children isomorphic, and so do
+parallel edges, which can be swapped: a pair is keyed by the multiset of
+its two end pairs and whether it names one edge twice.  The parent's group
+comes from the canonical-form search for free.  A skipped child is
+isomorphic to an earlier child of the same parent, and the dedupe keeps the
+first candidate of each class, so the corpus is the same, graph for graph
+and edge for edge, as when every pair is expanded.
 """
 
 from __future__ import annotations
@@ -17,7 +32,10 @@ from collections import deque
 from functools import lru_cache
 
 from .catalog import theta_graph
+from .errors import OracleLimitError
 from .multigraph import Multigraph, is_connected
+
+MAX_COMPLETE_ORDER = 14  # the largest order whose count is checked against A005967
 
 
 def _refine(colour: list, nbrs: list[tuple]) -> list[int]:
@@ -38,18 +56,11 @@ def _refine(colour: list, nbrs: list[tuple]) -> list[int]:
         cells = len(rank)
 
 
-def canonical_form(g: Multigraph) -> tuple:
-    """Exact isomorphism invariant: two multigraphs get the same form iff
-    they are isomorphic.
+def _best_leaves(g: Multigraph) -> tuple[tuple, list[list[int]]]:
+    """The individualisation-refinement search behind canonical_form.
 
-    Every vertex starts with a colour from its breadth-first distance
-    profile and its edge multiplicities (refinement alone never splits a
-    simple regular graph).  The search refines to an equitable partition, then
-    individualises each vertex of the smallest non-singleton cell in turn,
-    ties broken by colour, down to discrete partitions.  Every choice
-    depends on colours only, so the set of leaves is the same for every
-    labelling.  The form is (n, the lex-min over leaves of the sorted
-    (i, j, multiplicity) triples).
+    Returns the form and every leaf colouring that reaches it; a leaf
+    colouring gives vertex g.vertices[i] the label colour[i] in 0..n-1.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     n = len(index)
@@ -77,9 +88,10 @@ def canonical_form(g: Multigraph) -> tuple:
         return tuple(profile), tuple(sorted(adj[v].values()))
 
     best = None
+    leaves: list[list[int]] = []
 
     def search(colour: list) -> None:
-        nonlocal best
+        nonlocal best, leaves
         colour = _refine(colour, nbrs)
         if len(set(colour)) == n:
             leaf = sorted([
@@ -87,7 +99,9 @@ def canonical_form(g: Multigraph) -> tuple:
                 for i, j, m in edges
             ])
             if best is None or leaf < best:
-                best = leaf
+                best, leaves = leaf, [colour]
+            elif leaf == best:
+                leaves.append(colour)
             return
         size: dict[int, int] = {}
         for c in colour:
@@ -98,7 +112,41 @@ def canonical_form(g: Multigraph) -> tuple:
                 search([2 * c + (u != v) for u, c in enumerate(colour)])
 
     search([start_key(v) for v in range(n)])
-    return n, tuple(best)
+    return (n, tuple(best)), leaves
+
+
+def canonical_form(g: Multigraph) -> tuple:
+    """Exact isomorphism invariant: two multigraphs get the same form iff
+    they are isomorphic.
+
+    Every vertex starts with a colour from its breadth-first distance
+    profile and its edge multiplicities (refinement alone never splits a
+    simple regular graph).  The search refines to an equitable partition, then
+    individualises each vertex of the smallest non-singleton cell in turn,
+    ties broken by colour, down to discrete partitions.  Every choice
+    depends on colours only, so the set of leaves is the same for every
+    labelling.  The form is (n, the lex-min over leaves of the sorted
+    (i, j, multiplicity) triples).
+    """
+    return _best_leaves(g)[0]
+
+
+def automorphisms(g: Multigraph) -> list[dict]:
+    """Every vertex automorphism of g (edge multiplicities kept), each a
+    dict from vertex to image, the identity first.
+
+    The search tree of canonical_form is invariant under Aut(g), and
+    refinement keeps the order of colours, so distinct branches end in
+    distinct leaves.  The leaves reaching the form are therefore
+    pi o sigma for one leaf pi and every sigma in Aut(g), once each, and
+    pi^-1 o leaf recovers sigma.
+    """
+    verts = list(g.vertices)
+    _, leaves = _best_leaves(g)
+    first = [0] * len(verts)
+    for i, c in enumerate(leaves[0]):
+        first[c] = i
+    return [{v: verts[first[c]] for v, c in zip(verts, leaf)} for leaf in leaves]
 
 
 def _renumber(edges: list[tuple]) -> Multigraph:
@@ -155,6 +203,19 @@ def balloon_star() -> Multigraph:
     return Multigraph(range(10), edges)
 
 
+def balloon_h() -> Multigraph:
+    """Two adjacent centers, each carrying two digon-with-apex gadgets
+    (14 vertices)."""
+    edges = [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 4), (4, 1, 5)]
+    nid = 5
+    for apex, (u, v) in ((2, (6, 7)), (3, (8, 9)), (4, (10, 11)), (5, (12, 13))):
+        edges.append((nid, apex, u)); nid += 1
+        edges.append((nid, apex, v)); nid += 1
+        edges.append((nid, u, v)); nid += 1
+        edges.append((nid, u, v)); nid += 1
+    return Multigraph(range(14), edges)
+
+
 def _dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
     """The first graph of each isomorphism class, in input order."""
     seen = set()
@@ -168,27 +229,48 @@ def _dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
 
 
 def _candidates(n: int) -> list[Multigraph]:
-    """Every expansion of every graph on n - 2 vertices, in generation
-    order, then the gadget graph injected at n (n >= 4, even)."""
+    """One expansion per automorphism orbit of edge pairs of every graph on
+    n - 2 vertices, in generation order, then the gadget tree injected at n
+    (n >= 4, even)."""
     candidates: list[Multigraph] = []
     for parent in connected_cubic_multigraphs(n - 2):
-        eids = list(parent.edge_ids)
+        group = automorphisms(parent)
+        ends = {e: tuple(sorted(parent.endpoints(e))) for e in parent.edge_ids}
+        eids = list(ends)
+        seen = set()
         for i, e1 in enumerate(eids):
             for e2 in eids[i:]:
+                pair = (*sorted((ends[e1], ends[e2])), e1 == e2)
+                if pair in seen:
+                    continue
+                for sigma in group:
+                    image = sorted(tuple(sorted((sigma[a], sigma[b]))) for a, b in pair[:2])
+                    seen.add((*image, pair[2]))
                 candidates.append(insert_edge_pair(parent, e1, e2))
     if n == 6:
         candidates.append(balloon_flower())
     if n == 10:
         candidates.append(balloon_star())
+    if n == 14:
+        candidates.append(balloon_h())
     for g in candidates:
         assert g.is_cubic() and not g.has_loops() and is_connected(g)
     return candidates
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_COMPLETE_ORDER:
+        raise OracleLimitError(
+            f"{n} vertices > {MAX_COMPLETE_ORDER}: the generator is checked complete "
+            f"only up to {MAX_COMPLETE_ORDER} vertices"
+        )
+
+
 @lru_cache(maxsize=None)
 def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
     """All connected cubic loopless multigraphs on n vertices, up to
-    isomorphism."""
+    isomorphism; OracleLimitError above MAX_COMPLETE_ORDER."""
+    _check_order(n)
     if n <= 0 or n % 2 != 0:
         return ()
     if n == 2:
@@ -211,6 +293,7 @@ def connected_cubic_simple_graphs(n: int) -> tuple[Multigraph, ...]:
 
 
 def cubic_corpus(max_vertices: int, simple_only: bool = False) -> list[Multigraph]:
+    _check_order(max_vertices)
     out: list[Multigraph] = []
     for n in range(2, max_vertices + 1, 2):
         graphs = (

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from kotzigcdc import amiable
 from kotzigcdc.amiable import (
     STANDARD,
     SYMMETRIC,
     ConstructionTrace,
     ParityColoring,
+    _pair_relations,
     _row_components,
     amiable_to_parity,
     amiable_to_symmetric,
@@ -267,6 +269,72 @@ def test_row_components_are_the_row_subgraph_components():
         expected = {frozenset(c) for i in (1, 2, 3) for c in components(r.row_subgraph(i))}
         found = [frozenset(c) for c in _row_components(r)]
         assert len(found) == len(expected) and set(found) == expected
+
+
+# -- the per-column sums that _pair_relations replaced, kept as its oracle ------
+
+
+def _degree_within(r, v, rows):
+    return sum(1 for e in r.edges_at(v) if e.a[0] in rows and e.b[0] in rows)
+
+
+def _neighbors_in_row(r, v, row):
+    """Neighbors of v in the given row, counted with edge multiplicity."""
+    return sum(1 for e in r.edges_at(v) if e.other(v)[0] == row)
+
+
+def pair_relations_by_sums(r, mode):
+    rel12 = []
+    rel23 = []
+    for j in range(1, r.s + 1):
+        a = _degree_within(r, (1, j), {1, 2}) + _neighbors_in_row(r, (2, j), 1)
+        rel12.append(a % 2 == 0)
+        if mode == STANDARD:
+            b = _degree_within(r, (2, j), {2, 3}) + _degree_within(r, (3, j), {2, 3})
+        else:
+            b = _degree_within(r, (2, j), {2, 3}) + _neighbors_in_row(r, (3, j), 2)
+        rel23.append(b % 2 == 0)
+    return rel12, rel23
+
+
+def test_pair_relations_match_the_per_column_sums(monkeypatch):
+    """Both parity searches and is_parity_coloring answer byte for byte as
+    they did on the per-column sums: every orbit with s <= 3 and at most 6
+    edges, and 200 seeded row graphs with up to 6 columns."""
+    rng = random.Random(31)
+    insts = [
+        r
+        for s in (1, 2, 3)
+        for r in enumerate_row_graphs(s, 6, eulerian_only=False, up_to_rearrangement=True)
+    ]
+    for _ in range(200):
+        s = rng.randint(2, 6)
+        edges = []
+        for k in range(rng.randint(0, 14)):
+            p, q = rng.sample(range(1, s + 1), 2)
+            edges.append((k, (rng.randint(1, 3), p), (rng.randint(1, 3), q)))
+        insts.append(RowGraph(s, edges))
+
+    def answers(r, probes):
+        found = [find_parity_coloring(r, mode) for mode in (STANDARD, SYMMETRIC)]
+        checks = [
+            is_parity_coloring(r, phi, mode)
+            for phi in probes + [phi for phi in found if phi is not None]
+            for mode in (STANDARD, SYMMETRIC)
+        ]
+        return repr([None if phi is None else phi.to_json() for phi in found]), checks
+
+    for r in insts:
+        for mode in (STANDARD, SYMMETRIC):
+            assert _pair_relations(r, mode) == pair_relations_by_sums(r, mode)
+        probes = [
+            ParityColoring(black=frozenset(v for v in r.vertices() if rng.random() < 0.5), mode=STANDARD)
+            for _ in range(4)
+        ]
+        new = answers(r, probes)
+        with monkeypatch.context() as m:
+            m.setattr(amiable, "_pair_relations", pair_relations_by_sums)
+            assert answers(r, probes) == new
 
 
 def three_way_answers(r):

@@ -288,6 +288,15 @@ def test_corpus_generated_small(capsys):
     assert out["outcomes"].get("verified") == 3
 
 
+def test_corpus_refuses_orders_past_the_checked_counts(capsys):
+    assert main(["corpus", "--max-vertices", "16"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: 16 vertices > 14")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("retry_outcome", ["verified", "no_frame"])
 def test_corpus_worker_reports_both_attempts(monkeypatch, retry_outcome):
     seconds = {"two_factor": 0.25, "exhaustive": 0.5}

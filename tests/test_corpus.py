@@ -8,13 +8,15 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from networkx.algorithms.isomorphism import numerical_edge_match
+from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
 
 from kotzigcdc import corpus
 from kotzigcdc.corpus import (
     _candidates,
     _dedupe,
+    automorphisms,
     balloon_flower,
+    balloon_h,
     balloon_star,
     brute_force_cubic_multigraphs,
     canonical_form,
@@ -25,6 +27,7 @@ from kotzigcdc.corpus import (
     is_simple,
 )
 from kotzigcdc.catalog import theta_graph
+from kotzigcdc.errors import OracleLimitError
 from kotzigcdc.multigraph import Multigraph, is_connected
 
 
@@ -106,9 +109,62 @@ def test_canonical_form_agrees_with_vf2_up_to_8():
         assert (canonical_form(g) == canonical_form(h)) == are_isomorphic(g, h)
 
 
+def all_expansions(n: int) -> list[Multigraph]:
+    """Every expansion of every graph on n - 2 vertices, all edge pairs in
+    generation order, then the gadget tree injected at n: the reference
+    for _candidates, which expands one pair per automorphism orbit."""
+    candidates = []
+    for parent in connected_cubic_multigraphs(n - 2):
+        eids = list(parent.edge_ids)
+        for i, e1 in enumerate(eids):
+            for e2 in eids[i:]:
+                candidates.append(insert_edge_pair(parent, e1, e2))
+    gadget_trees = {6: balloon_flower, 10: balloon_star, 14: balloon_h}
+    if n in gadget_trees:
+        candidates.append(gadget_trees[n]())
+    return candidates
+
+
+def test_automorphisms_match_vf2():
+    """The group read off the best leaves is networkx's automorphism group,
+    with the identity first, no repeats and closed under composition."""
+    for g in cubic_corpus(10):
+        group = [tuple(sorted(sigma.items())) for sigma in automorphisms(g)]
+        nxg = to_networkx(g)
+        matcher = GraphMatcher(nxg, nxg, edge_match=numerical_edge_match("m", 1))
+        vf2 = [tuple(sorted(m.items())) for m in matcher.isomorphisms_iter()]
+        assert sorted(group) == sorted(vf2)
+        assert group[0] == tuple((v, v) for v in sorted(g.vertices))
+        keys = set(group)
+        assert len(keys) == len(group)
+        maps = [dict(sigma) for sigma in group]
+        for s, t in itertools.product(maps, repeat=2):
+            assert tuple(sorted((v, s[t[v]]) for v in t)) in keys
+
+
+def test_orbit_expansion_keeps_the_dedupe():
+    """Expanding one edge pair per orbit keeps the same graphs, in the same
+    order, as expanding every pair."""
+    for n in range(4, 13, 2):
+        pruned = [g.edges() for g in _dedupe(_candidates(n))]
+        assert pruned == [g.edges() for g in _dedupe(all_expansions(n))]
+
+
+def test_orbit_expansion_prunes(monkeypatch):
+    connected_cubic_multigraphs(8)
+    calls = []
+    real = corpus.insert_edge_pair
+    monkeypatch.setattr(
+        corpus, "insert_edge_pair", lambda g, e1, e2: calls.append(g) or real(g, e1, e2)
+    )
+    assert len(_candidates(10)) == len(calls) + 1  # plus balloon_star
+    # 430 orbits of edge pairs over the 20 graphs on 8 vertices; all pairs are 1,560
+    assert 400 <= len(calls) <= 470
+
+
 def test_dedupe_matches_vf2_dedupe_up_to_10():
     for n in range(4, 11, 2):
-        candidates = _candidates(n)
+        candidates = all_expansions(n)
         kept, oracle = _dedupe(candidates), vf2_dedupe(candidates)
         assert len(kept) == len(oracle)
         assert all(a is b for a, b in zip(kept, oracle))
@@ -139,6 +195,7 @@ def test_known_simple_counts():
     assert len(connected_cubic_simple_graphs(8)) == 5
     assert len(connected_cubic_simple_graphs(10)) == 19
     assert len(connected_cubic_simple_graphs(12)) == 85  # OEIS A002851
+    assert len(connected_cubic_simple_graphs(14)) == 509
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -151,11 +208,17 @@ def test_expansion_matches_bruteforce(n):
 
 
 def test_multigraph_counts():
-    # OEIS A005967; the dedupe is exact, so the count at 12 proves the
-    # generator complete there
-    assert [len(connected_cubic_multigraphs(n)) for n in (2, 4, 6, 8, 10, 12)] == [
-        1, 2, 6, 20, 91, 509,
+    # OEIS A005967; the dedupe is exact, so the counts at 12 and 14 prove
+    # the generator complete there
+    assert [len(connected_cubic_multigraphs(n)) for n in (2, 4, 6, 8, 10, 12, 14)] == [
+        1, 2, 6, 20, 91, 509, 3608,
     ]
+
+
+def test_orders_past_the_checked_counts_are_refused():
+    for call in (connected_cubic_multigraphs, cubic_corpus):
+        with pytest.raises(OracleLimitError, match="16 vertices > 14"):
+            call(16)
 
 
 def test_all_generated_are_cubic_connected_loopless():
@@ -176,6 +239,8 @@ def test_balloon_graphs_present_in_corpus():
     assert any(are_isomorphic(balloon_flower(), g) for g in sixes)
     tens = connected_cubic_multigraphs(10)
     assert any(are_isomorphic(balloon_star(), g) for g in tens)
+    fourteens = connected_cubic_multigraphs(14)
+    assert any(are_isomorphic(balloon_h(), g) for g in fourteens)
 
 
 def _reduce_edge(g, eid):
@@ -207,7 +272,7 @@ def _reduce_edge(g, eid):
 def test_balloon_graphs_are_expansion_irreducible():
     """No edge of these graphs reduces to a smaller loopless connected
     cubic multigraph, so the generator must inject them by hand."""
-    for g in (balloon_flower(), balloon_star()):
+    for g in (balloon_flower(), balloon_star(), balloon_h()):
         for eid in g.edge_ids:
             assert _reduce_edge(g, eid) is None, f"edge {eid} would be reducible"
 
