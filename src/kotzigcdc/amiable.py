@@ -22,12 +22,11 @@ precondition buys; a failure there is reported loudly, never masked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .errors import ConstructionInvariantError, HypothesisError, OracleLimitError
-from .frame import Frame, PerfectColoring, Witness, build_colored_contraction
+from .errors import ConstructionInvariantError, FrameError, HypothesisError, OracleLimitError
+from .frame import C_KIND, Frame, PerfectColoring, Witness, is_perfect_coloring
 from .multigraph import Multigraph, components, is_eulerian, sorted_edge_ids
 from .rowgraph import (
     AmiableColoring,
@@ -60,11 +59,6 @@ class ConstructionTrace:
 
     def to_json(self) -> dict:
         return {"steps": self.steps}
-
-    def dump(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, default=repr) + "\n")
 
 
 def identity_f(r: RowGraph) -> dict:
@@ -694,32 +688,17 @@ def symmetric_to_amiable(r: RowGraph, phi: ParityColoring) -> AmiableColoring:
 # -- frame-level normalization and the full constructive path --------------------
 
 
-def _recolor_component(coloring: PerfectColoring, comp, color: int) -> PerfectColoring:
-    vc = dict(coloring.vertex_color)
-    ec = dict(coloring.edge_color)
-    for v in comp.vertices:
-        if v in vc:
-            vc[v] = color
-    for e in comp.edge_ids:
-        ec[e] = color
-    return PerfectColoring(vertex_color=vc, edge_color=ec)
-
-
-def permute_colors(coloring: PerfectColoring, perm: dict[int, int]) -> PerfectColoring:
-    return PerfectColoring(
-        vertex_color={v: perm[c] for v, c in coloring.vertex_color.items()},
-        edge_color={e: perm[c] for e, c in coloring.edge_color.items()},
-    )
-
-
 def permute_component_colors(
-    frame: Frame, coloring: PerfectColoring, labels: Iterable[int], perm: dict[int, int]
+    frame: Frame, coloring: PerfectColoring, perms: dict[int, dict[int, int]]
 ) -> PerfectColoring:
-    labels = set(labels)
+    """The coloring with the colors of each component whose label is in
+    perms renamed by that component's permutation; both maps are copied
+    once, whatever the number of components."""
     vc = dict(coloring.vertex_color)
     ec = dict(coloring.edge_color)
     for comp in frame.components:
-        if comp.label not in labels:
+        perm = perms.get(comp.label)
+        if perm is None:
             continue
         for v in comp.vertices:
             if v in vc:
@@ -729,80 +708,85 @@ def permute_component_colors(
     return PerfectColoring(vertex_color=vc, edge_color=ec)
 
 
-def _color1_component(frame: Frame, coloring: PerfectColoring, anchors: set[int]) -> tuple[set[int], set]:
-    """Labels and edges of the color-1 connected piece containing anchors."""
-    cc = build_colored_contraction(frame, coloring)
-    eids = [e for e, c in cc.edge_color.items() if c == 1]
-    sub = cc.contracted.graph.subgraph_of_edges(eids, keep_vertices=cc.contracted.graph.vertices)
-    for comp in components(sub):
-        if anchors <= set(comp):
-            comp_set = set(comp)
-            edges = {e for e in eids if cc.contracted.graph.endpoints(e)[0] in comp_set}
-            return comp_set, edges
-    raise ConstructionInvariantError("witness components are not joined by color 1")
-
-
 def normalize_frame_coloring(
     frame: Frame, coloring: PerfectColoring, witness: Witness, trace: ConstructionTrace | None = None
 ) -> tuple[Frame, PerfectColoring, frozenset, int]:
     """Rewrite (frame, coloring) into the shape the main construction expects.
 
-    Steps: swap the witness color to 1; greedily absorb cycle components
-    into the color-1 piece whenever an uncolored contraction edge would turn
-    color 1 by recoloring them; recolor the remaining color-1 cycle
-    components away from color 1; relabel components so the K-components
-    come first, then the cycle components inside the witness piece.
+    Steps: swap the witness color to 1; grow the color-1 piece from an
+    anchor (the least K-component, or the witness piece when there is no
+    K-component) along the free edges that leave a color-1 vertex of the
+    piece: the far component joins when the far end has color 1, and a
+    cycle component of another color is absorbed, recolored 1, and joins;
+    check that every K-component joined; recolor the remaining color-1
+    cycle components to 2; relabel components so the K-components come
+    first, then the cycle components inside the piece.
     Returns (relabeled frame, adjusted coloring, h column set, k).
+
+    The piece and the coloring do not depend on the order of the walk: the
+    piece only grows and only absorbed cycles change color (to 1), so an
+    edge that qualifies keeps qualifying until its far component joins.
+    The walk therefore ends at the least piece closed under both moves, and
+    the absorbed cycles are the cycles of that piece whose color was not 1.
     """
+    if not is_perfect_coloring(frame, coloring):
+        raise FrameError("coloring is not perfect for this frame")
     trace = trace or ConstructionTrace()
+    swap = {witness.color: 1, 1: witness.color}
+    vc = {v: swap.get(c, c) for v, c in coloring.vertex_color.items()}
+    ec = {e: swap.get(c, c) for e, c in coloring.edge_color.items()}
     if witness.color != 1:
-        perm = {witness.color: 1, 1: witness.color}
-        perm = {c: perm.get(c, c) for c in (1, 2, 3)}
-        coloring = permute_colors(coloring, perm)
         trace.record("witness_color_swap", swap=[witness.color, 1])
 
-    k_labels = set(frame.k_labels())
-    anchors = set(k_labels) if k_labels else set(witness.h_labels)
     label_of = frame.label_of
     comp_by_label = {c.label: c for c in frame.components}
+    ends: dict = {label: [] for label in comp_by_label}  # label -> (near, far) per free edge
+    for eid in frame.free_edges():
+        a, b = frame.host.endpoints(eid)
+        ends[label_of[a]].append((a, b))
+        ends[label_of[b]].append((b, a))
 
-    h_labels, _ = _color1_component(frame, coloring, anchors)
-    grown = True
-    absorbed = []
-    while grown:
-        grown = False
-        for eid in frame.free_edges():
-            v, w = frame.host.endpoints(eid)
-            for a, b in ((v, w), (w, v)):
-                la, lb = label_of[a], label_of[b]
-                if (
-                    la in h_labels
-                    and lb not in h_labels
-                    and coloring.vertex_color.get(a) == 1
-                    and comp_by_label[lb].kind == "C"
-                ):
-                    coloring = _recolor_component(coloring, comp_by_label[lb], 1)
-                    absorbed.append(lb)
-                    h_labels, _ = _color1_component(frame, coloring, anchors)
-                    grown = True
-                    break
-            if grown:
-                break
+    def paint(label: int, color: int) -> None:
+        comp = comp_by_label[label]
+        for v in comp.vertices:
+            vc[v] = color
+        for e in comp.edge_ids:
+            ec[e] = color
+
+    def grow(start: int) -> tuple[set, list]:
+        piece, absorbed, todo = {start}, [], [start]
+        while todo:
+            for a, b in ends[todo.pop()]:
+                far = label_of[b]
+                if far in piece or vc.get(a) != 1:
+                    continue
+                if vc.get(b) != 1:
+                    if comp_by_label[far].kind != C_KIND:
+                        continue
+                    paint(far, 1)
+                    absorbed.append(far)
+                piece.add(far)
+                todo.append(far)
+        return piece, absorbed
+
+    k_labels = set(frame.k_labels())
+    anchors = k_labels or set(witness.h_labels)
+    h_labels, absorbed = grow(min(anchors))
+    if not anchors <= h_labels:
+        raise ConstructionInvariantError("witness components are not joined by color 1")
     if absorbed:
         trace.record("absorbed_components", labels=absorbed)
 
-    recolored = []
-    for comp in frame.components:
-        if comp.kind != "C" or comp.label in h_labels:
-            continue
-        comp_color = coloring.edge_color[comp.edge_ids[0]]
-        if comp_color == 1:
-            coloring = _recolor_component(coloring, comp, 2)
-            recolored.append(comp.label)
+    recolored = [
+        c.label
+        for c in frame.components
+        if c.kind == C_KIND and c.label not in h_labels and ec[c.edge_ids[0]] == 1
+    ]
     if recolored:
+        for label in recolored:
+            paint(label, 2)
         trace.record("recolored_outside_witness", labels=recolored)
-        h_after, _ = _color1_component(frame, coloring, anchors)
-        if h_after != h_labels:
+        if grow(min(anchors)) != (h_labels, []):
             raise ConstructionInvariantError("recoloring outside the witness changed it")
 
     k_sorted = sorted(k_labels)
@@ -823,7 +807,7 @@ def normalize_frame_coloring(
         k_columns=k,
         h_columns=sorted(h_columns),
     )
-    return new_frame, coloring, h_columns, k
+    return new_frame, PerfectColoring(vertex_color=vc, edge_color=ec), h_columns, k
 
 
 def amiable_coloring_for_frame(
@@ -843,7 +827,7 @@ def amiable_coloring_for_frame(
     swap_step = trace.find("row23_swap")
     if swap_step:
         coloring2 = permute_component_colors(
-            frame2, coloring2, swap_step["columns"], {1: 1, 2: 3, 3: 2}
+            frame2, coloring2, {j: {1: 1, 2: 3, 3: 2} for j in swap_step["columns"]}
         )
         rebuilt = build_row_graph(g, frame2, coloring2)
         if rebuilt.edge_signature() != r_final.edge_signature():

@@ -91,13 +91,3 @@ def theta_subdivision() -> Multigraph:
         [0, 1, 2, 3],
         [(0, 0, 1), (1, 0, 2), (2, 2, 1), (3, 0, 3), (4, 3, 1)],
     )
-
-
-NAMED = {
-    "theta": theta_graph,
-    "k4": k4,
-    "k33": k33,
-    "prism": prism,
-    "cube": cube_graph,
-    "petersen": petersen,
-}

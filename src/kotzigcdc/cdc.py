@@ -64,18 +64,6 @@ class CdcCertificate:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
 
-@dataclass(frozen=True)
-class JDecomposition:
-    """Per color: frame cycles, free edges of that color, chord class."""
-
-    frame_parts: dict  # color -> frozenset of frame edge ids
-    free_parts: dict  # color -> frozenset of free edge ids
-    chord_parts: dict  # color -> frozenset of chord ids
-
-    def combined(self, color: int) -> frozenset:
-        return self.frame_parts[color] | self.free_parts[color] | self.chord_parts[color]
-
-
 def partition_chords(f: Frame, coloring: PerfectColoring) -> tuple[frozenset, frozenset, frozenset]:
     """Assign every chord the smallest color missing at both endpoints.
 
@@ -230,13 +218,10 @@ def fold_vertex_coloring(
     Permuting the colors inside one component exactly renames the rows of
     its column, so the column-wise permutations read off f do the job.
     """
-    folded = coloring
-    for comp in f.components:
-        perm = {i: amiable.f[(i, comp.label)] for i in (1, 2, 3)}
-        if perm == {1: 1, 2: 2, 3: 3}:
-            continue
-        folded = permute_component_colors(f, folded, [comp.label], perm)
-    return folded
+    perms = {
+        comp.label: {i: amiable.f[(i, comp.label)] for i in (1, 2, 3)} for comp in f.components
+    }
+    return permute_component_colors(f, coloring, perms)
 
 
 def construct_6cdc(
@@ -261,29 +246,25 @@ def construct_6cdc(
     if not is_amiable(r2, normalized):
         raise ConstructionInvariantError("folding the vertex coloring broke amiability")
 
-    chords = partition_chords(f, folded)
-    frame_parts = {}
-    for color in (1, 2, 3):
-        frame_parts[color] = frozenset(
-            eid for eid in f.frame_edges if folded.edge_color[eid] != color
-        )
+    # per color: the frame edges of other colors, and the free edges and
+    # chords of this color
+    chord_parts = dict(zip((1, 2, 3), partition_chords(f, folded)))
+    frame_parts = {
+        color: frozenset(eid for eid in f.frame_edges if folded.edge_color[eid] != color)
+        for color in (1, 2, 3)
+    }
     free_parts = {
         color: frozenset(eid for eid in f.free_edges() if normalized.g[eid] == color)
         for color in (1, 2, 3)
     }
-    decomposition = JDecomposition(
-        frame_parts=frame_parts,
-        free_parts=free_parts,
-        chord_parts={1: chords[0], 2: chords[1], 3: chords[2]},
-    )
     trace.record(
         "j_decomposition",
-        chords={c: sorted_edge_ids(decomposition.chord_parts[c]) for c in (1, 2, 3)},
+        chords={c: sorted_edge_ids(chord_parts[c]) for c in (1, 2, 3)},
     )
 
     classes = {}
     for color in (1, 2, 3):
-        matching = decomposition.free_parts[color] | decomposition.chord_parts[color]
+        matching = free_parts[color] | chord_parts[color]
         try:
             cycles_a, cycles_b = two_cycle_cover_even(
                 g, frame_parts[color], matching

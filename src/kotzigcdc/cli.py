@@ -149,6 +149,8 @@ def _strategy_from_args(args) -> tuple[str, list | None]:
             raise GraphFormatError(f"{args.frame_file} has no frame_edges")
         if not isinstance(obj["frame_edges"], list):
             raise GraphFormatError(f"{args.frame_file}: frame_edges is not a list")
+        if any(isinstance(e, (list, dict)) for e in obj["frame_edges"]):
+            raise GraphFormatError(f"{args.frame_file}: frame_edges holds a non-scalar edge id")
         return "user_supplied", obj["frame_edges"]
     return args.frame_strategy.replace("-", "_"), None
 

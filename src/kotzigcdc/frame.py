@@ -10,7 +10,6 @@ their host ids.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -117,11 +116,12 @@ class ColoredContraction:
 @dataclass(frozen=True)
 class Witness:
     """A color and a monochromatic connected piece of the colored
-    contraction containing every K-vertex."""
+    contraction containing every K-vertex: the whole piece of that color
+    when there is a K-vertex, and one vertex, with color 1, when there is
+    none."""
 
     color: int
     h_labels: frozenset
-    h_edges: frozenset
 
 
 def validate_frame(
@@ -234,37 +234,24 @@ def build_colored_contraction(f: Frame, coloring: PerfectColoring) -> ColoredCon
 
 
 def well_connected_witness(f: Frame, coloring: PerfectColoring) -> Witness | None:
-    """A color whose edge class joins all K-vertices into one connected
-    piece, together with that whole piece (maximal).
+    """The first color (1, 2, 3) whose edge class joins all K-vertices into
+    one connected piece, together with that whole piece.
 
-    With zero or one K-vertex the test is trivially satisfied by a
-    one-vertex subgraph.
+    With one K-vertex color 1 always works.  With no K-vertex the test is
+    trivially satisfied: the witness is color 1 with the one-vertex piece
+    of the least label, not the maximal piece.
     """
     k_labels = f.k_labels()
     if len(k_labels) == 0:
         anchor = min(c.label for c in f.components)
-        return Witness(color=1, h_labels=frozenset([anchor]), h_edges=frozenset())
+        return Witness(color=1, h_labels=frozenset([anchor]))
     cc = build_colored_contraction(f, coloring)
-    # with a single K-vertex this always succeeds (a one-vertex piece is fine)
-    return _witness_for_color(cc, k_labels, preferred=None)
-
-
-def _witness_for_color(
-    cc: ColoredContraction, k_labels: list[int], preferred: int | None
-) -> Witness | None:
-    colors = (preferred,) if preferred else (1, 2, 3)
-    for color in colors:
+    graph = cc.contracted.graph
+    for color in (1, 2, 3):
         eids = [e for e, c in cc.edge_color.items() if c == color]
-        sub = cc.contracted.graph.subgraph_of_edges(
-            eids, keep_vertices=cc.contracted.graph.vertices
-        )
-        for comp in components(sub):
+        for comp in components(graph.subgraph_of_edges(eids, keep_vertices=graph.vertices)):
             if all(k in comp for k in k_labels):
-                comp_set = set(comp)
-                h_edges = frozenset(
-                    e for e in eids if cc.contracted.graph.endpoints(e)[0] in comp_set
-                )
-                return Witness(color=color, h_labels=frozenset(comp), h_edges=h_edges)
+                return Witness(color=color, h_labels=frozenset(comp))
     return None
 
 
@@ -619,9 +606,3 @@ def frame_from_json(g: Multigraph, obj: dict) -> Frame:
     if sorted_edge_ids(frame.chords) != sorted_edge_ids(obj.get("chords", frame.chords)):
         raise FrameError("chord set in file does not match the recomputed chords")
     return frame
-
-
-def save_frame_json(f: Frame, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(frame_to_json(f), indent=2) + "\n")

@@ -454,23 +454,24 @@ def test_random_cubic_certificates_pass_the_oracle(half, seed):
         assert oracle_verify_cdc(g, CdcCertificate.from_json(report.certificate)).valid
 
 
-def planted_host(n: int, rng: random.Random):
-    """A cubic graph on n vertices around a known frame: K4 with every edge
-    subdivided twice, plus even cycles, joined by a random perfect matching
-    on the 2-valent vertices, drawn again until connected.  Returns the
-    graph and its frame edge ids."""
+def planted_host(n: int, rng: random.Random, k4s: int = 1):
+    """A cubic graph on n vertices around a known frame: k4s copies of K4
+    with every edge subdivided twice, plus even cycles, joined by a random
+    perfect matching on the 2-valent vertices, drawn again until connected.
+    Returns the graph and its frame edge ids."""
     frame = []
-    nv = 4
-    for a, b in itertools.combinations(range(4), 2):
-        frame += [(a, nv), (nv, nv + 1), (nv + 1, b)]
-        nv += 2
+    nv = 4 * k4s
+    for base in range(0, nv, 4):
+        for a, b in itertools.combinations(range(base, base + 4), 2):
+            frame += [(a, nv), (nv, nv + 1), (nv + 1, b)]
+            nv += 2
     while nv < n:
         length = rng.choice((4, 6, 8, 10))
         if n - nv - length < 4:
             length = n - nv
         frame += [(v, v + 1) for v in range(nv, nv + length - 1)] + [(nv + length - 1, nv)]
         nv += length
-    two_valent = list(range(4, n))
+    two_valent = list(range(4 * k4s, n))
     while True:
         rng.shuffle(two_valent)
         matching = list(zip(two_valent[::2], two_valent[1::2]))
@@ -507,3 +508,36 @@ def test_assembly_and_verification_work_is_linear(n, monkeypatch):
     monkeypatch.undo()
     assert report.valid
     assert calls / g.num_edges() < LOOKUPS_PER_EDGE
+
+
+def planted_multi_k_hosts(seeds):
+    """Seeded planted hosts with two or three K4 subdivisions and at most
+    three short cycles, with their frame edge ids.  Frames with four K4s
+    are left out: the witness search walks the colouring product, which
+    can take seconds there."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        k4s = rng.choice((2, 3))
+        extra = rng.choice((0, 4, 6, 8, 10, 12))
+        yield planted_host(16 * k4s + extra, rng, k4s)
+
+
+def test_pipeline_on_frames_with_several_k_components():
+    """Every verified certificate passes both verifiers, and the witness
+    colour swap and cycle absorption of the normalisation both fire."""
+    fired = {"witness_color_swap": 0, "absorbed_components": 0}
+    verified = 0
+    for g, frame_edges in planted_multi_k_hosts(range(60)):
+        report = run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges, collect_trace=True)
+        assert report.outcome in ("verified", "no_witness")
+        if report.outcome != "verified":
+            continue
+        verified += 1
+        cert = CdcCertificate.from_json(report.certificate)
+        assert verify_cdc(g, cert).valid
+        assert oracle_verify_cdc(g, cert).valid
+        for step in report.trace["steps"]:
+            if step["step"] in fired:
+                fired[step["step"]] += 1
+    assert verified > 0
+    assert all(fired.values()), fired

@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kotzigcdc.catalog import cycle_graph, k4, petersen, prism, theta_graph
 from kotzigcdc import cli
@@ -141,7 +143,9 @@ def test_pipeline_frame_file_without_frame_edges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "frame_file", [{"frame_edges": [99]}, {"frame_edges": 5}], ids=["unknown_edge", "not_a_list"]
+    "frame_file",
+    [{"frame_edges": [99]}, {"frame_edges": 5}, {"frame_edges": [[1]]}, {"frame_edges": [{}]}],
+    ids=["unknown_edge", "not_a_list", "list_entry", "object_entry"],
 )
 def test_pipeline_bad_frame_edges(tmp_path, capsys, frame_file):
     gpath = tmp_path / "k4.json"
@@ -153,6 +157,35 @@ def test_pipeline_bad_frame_edges(tmp_path, capsys, frame_file):
     ]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        JSON_VALUES,
+        st.fixed_dictionaries({"frame_edges": JSON_VALUES}),
+        st.fixed_dictionaries({"frame_edges": st.lists(st.integers(-1, 6) | JSON_VALUES, max_size=8)}),
+    )
+)
+def test_pipeline_frame_file_fuzz(frame_json):
+    """Any JSON value as the frame file of K4 gets a documented exit code
+    and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath = Path(tmp) / "k4.json"
+        save_graph_json(k4(), gpath)
+        fpath = Path(tmp) / "frame.json"
+        fpath.write_text(json.dumps(frame_json))
+        code = main([
+            "pipeline", str(gpath), "--frame-strategy", "file", "--frame-file", str(fpath),
+        ])
+    assert code in (0, 1, 2, 3)
 
 
 def test_scan_rows_small(capsys):

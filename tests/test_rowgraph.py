@@ -177,10 +177,7 @@ def test_identical_row_graph_from_recolored_frame():
         order = sorted(range(1, f.s + 1), key=lambda j: rearr.column_perm[j])
         labeling = [f.components[j - 1].vertices for j in order]
         relabeled = validate_frame(g, f.frame_edges, labeling=labeling)
-        recolored = coloring
-        for old_label in range(1, f.s + 1):
-            perm = rearr.row_perms[old_label]
-            recolored = permute_component_colors(f, recolored, [old_label], perm)
+        recolored = permute_component_colors(f, coloring, rearr.row_perms)
         rebuilt = build_row_graph(g, relabeled, recolored)
         assert rebuilt.edge_signature() == target.edge_signature()
 
