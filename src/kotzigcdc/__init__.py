@@ -59,16 +59,13 @@ from .amiable import (
     ParityColoring,
     amiable_coloring_for_frame,
     amiable_to_parity,
-    amiable_to_symmetric,
     construct_amiable_concentrated_row,
     construct_amiable_main,
     construct_amiable_two_busy_columns,
     find_parity_coloring,
-    has_parity_coloring_bruteforce,
     is_parity_coloring,
     normalize_frame_coloring,
     parity_to_amiable,
-    symmetric_to_amiable,
 )
 from .cdc import (
     CdcCertificate,

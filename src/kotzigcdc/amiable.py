@@ -6,18 +6,22 @@ first-row vertices fully isolated) into an amiable coloring:
 
   1. identify rows 2 and 3 column-wise and take an acyclic t-join of the
      odd-degree columns;
-  2. swap rows 2/3 in some columns so the t-join uses no cross-row edges
-     (always possible because the join is acyclic);
+  2. swap rows 2/3 in some columns of a working copy so the t-join uses
+     no cross-row edges (always possible because the join is acyclic);
   3. color f = (2, 3, 1) down each column, give color 2 to the lower-rows
      edges outside the join;
   4. compare row-1/row-2 degrees in the mixed subgraph (cross edges +
      row-1 edges + row-2 join edges) column by column; the mismatching
      columns get fixed by an acyclic t-join inside row 1, whose edges and
      the remaining mixed edges receive colors 3 and 1;
-  5. everything left is color 3.
+  5. everything left is color 3;
+  6. carry the coloring back through the swaps of step 2, so a swapped
+     column has f = (2, 1, 3).
 
-Feasibility of the row-1 join is exactly what the concentration
-precondition buys; a failure there is reported loudly, never masked.
+Every construction here returns a coloring that is amiable on the row
+graph it was given.  Feasibility of the row-1 join is exactly what the
+concentration precondition buys; a failure there is reported loudly,
+never masked.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .errors import ConstructionInvariantError, FrameError, HypothesisError, OracleLimitError
+from .errors import ConstructionInvariantError, FrameError, HypothesisError
 from .frame import C_KIND, Frame, PerfectColoring, Witness, is_perfect_coloring
 from .multigraph import Multigraph, components, is_eulerian, sorted_edge_ids
 from .rowgraph import (
@@ -65,24 +69,33 @@ def identity_f(r: RowGraph) -> dict:
     return {(i, j): i for j in range(1, r.s + 1) for i in range(1, r.rows + 1)}
 
 
-def _next_row(i: int) -> int:
-    return i % 3 + 1
+def _require_eulerian(r: RowGraph) -> None:
+    if not is_eulerian(row_contract(r)):
+        raise HypothesisError("column contraction must be eulerian")
+
+
+def _require_amiable(r: RowGraph, a: AmiableColoring, what: str) -> None:
+    """Raise ConstructionInvariantError, naming what was built, unless a is
+    amiable on r."""
+    problems = amiable_violations(r, a)
+    if problems:
+        raise ConstructionInvariantError(f"{what}: {problems}")
 
 
 # -- the core construction -----------------------------------------------------
 
 
-def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring, RowGraph, set[int]]:
-    """Produce an amiable coloring with f = (2, 3, 1) down every column.
+def _run_engine(r: RowGraph, trace: ConstructionTrace) -> AmiableColoring:
+    """Produce an amiable coloring of r with f = (2, 3, 1) down every
+    column, or (2, 1, 3) down the columns swapped to straighten the lower
+    join.
 
-    Returns (coloring, possibly row-swapped graph, swapped columns).  The
-    caller is responsible for the concentration precondition; if the row-1
-    join turns out infeasible regardless, ConstructionInvariantError is
-    raised.
+    The caller is responsible for the concentration precondition; if the
+    row-1 join turns out infeasible regardless, ConstructionInvariantError
+    is raised.
     """
     s = r.s
-    if not is_eulerian(row_contract(r)):
-        raise HypothesisError("column contraction must be eulerian")
+    _require_eulerian(r)
 
     lower = r.edges_within_rows({2, 3})
     identified = Multigraph(range(1, s + 1), [(e.eid, e.a[1], e.b[1]) for e in lower])
@@ -94,11 +107,13 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
         edges=sorted_edge_ids(join_lower),
     )
 
+    # the engine runs on a copy with rows 2/3 swapped in some columns
+    work = r
     emap = r.edge_map()
     crossing = [
         eid for eid in join_lower if {emap[eid].a[0], emap[eid].b[0]} == {2, 3}
     ]
-    swapped_columns: set[int] = set()
+    swap = None
     if crossing:
         join_two_row = RowGraph(
             s,
@@ -110,9 +125,10 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
         )
         swapped_columns = resolve_two_row(join_two_row)
         trace.record("row23_swap", columns=sorted(swapped_columns))
-        r = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped_columns}).apply(r)
-        emap = r.edge_map()
-        lower = r.edges_within_rows({2, 3})
+        swap = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped_columns})
+        work = swap.apply(r)
+        emap = work.edge_map()
+        lower = work.edges_within_rows({2, 3})
 
     join_row2 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 2}
     join_row3 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 3}
@@ -128,13 +144,13 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
             g[e.eid] = 2
 
     mixed_ids = set(join_row2)
-    for e in r.edges:
+    for e in work.edges:
         rows = {e.a[0], e.b[0]}
         if rows == {1, 2} or rows == {1}:
             mixed_ids.add(e.eid)
 
     def mixed_degree(v) -> int:
-        return sum(1 for e in r.edges_at(v) if e.eid in mixed_ids)
+        return sum(1 for e in work.edges_at(v) if e.eid in mixed_ids)
 
     mismatch = [
         m
@@ -142,7 +158,7 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
         if (mixed_degree((1, m)) - mixed_degree((2, m))) % 2 != 0
     ]
     trace.record("row1_join_targets", columns=sorted(mismatch))
-    row1 = r.row_subgraph(1)
+    row1 = work.row_subgraph(1)
     try:
         join_row1 = acyclic_t_join(row1, {(1, m) for m in mismatch})
     except HypothesisError as exc:
@@ -155,20 +171,20 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> tuple[AmiableColoring,
     for eid in mixed_ids:
         if eid not in join_row1:
             g[eid] = 1
-    for e in r.edges:
+    for e in work.edges:
         g.setdefault(e.eid, 3)
 
     coloring = AmiableColoring(f=f, g=g)
-    problems = amiable_violations(r, coloring)
-    if problems:
-        raise ConstructionInvariantError(f"constructed coloring is not amiable: {problems}")
+    if swap is not None:  # row swaps are their own inverse
+        coloring = swap.transport_amiable(coloring)
+    _require_amiable(r, coloring, "constructed coloring is not amiable")
     trace.record("amiable", f_rows=[2, 3, 1])
-    return coloring, r, swapped_columns
+    return coloring
 
 
-def _row1_multi_components(r: RowGraph) -> list[list]:
-    row1 = r.row_subgraph(1)
-    return [c for c in components(row1) if len(c) >= 2]
+def _multi_components(r: RowGraph, row: int) -> list[list]:
+    """The components of one row's subgraph with more than one vertex."""
+    return [c for c in components(r.row_subgraph(row)) if len(c) >= 2]
 
 
 def _column_is_dormant(r: RowGraph, j: int) -> bool:
@@ -184,20 +200,19 @@ def construct_amiable_main(
     h_columns: Iterable[int] | None = None,
     k: int | None = None,
     trace: ConstructionTrace | None = None,
-) -> tuple[AmiableColoring, ConstructionTrace, RowGraph]:
+) -> tuple[AmiableColoring, ConstructionTrace]:
     """Amiable coloring of a row graph in witness-normalized form.
 
     Expects the shape produced by normalize_frame_coloring: at most one
     non-trivial component in row 1, and every column whose row-1 vertex is
     isolated within row 1 either dormant or listed in h_columns.  Returns
-    the coloring together with the trace and the (possibly row-swapped)
-    graph the coloring lives on.
+    the coloring, amiable on r itself, together with the trace.
     """
     trace = trace or ConstructionTrace()
     h_columns = set(h_columns or ())
     if k is not None:
         trace.record("layout", k_columns=k, h_columns=sorted(h_columns))
-    multi = _row1_multi_components(r)
+    multi = _multi_components(r, 1)
     if len(multi) > 1:
         raise HypothesisError("row 1 splits into more than one non-trivial component")
     big = set(multi[0]) if multi else set()
@@ -209,7 +224,7 @@ def construct_amiable_main(
         raise HypothesisError(
             f"column {j} is neither dormant nor part of the connected witness"
         )
-    coloring, r_final, swapped = _run_engine(r, trace)
+    coloring = _run_engine(r, trace)
     # the parity-repair targets must stay inside the witness piece
     targets = set(trace.find("row1_join_targets")["columns"])
     allowed = {v[1] for v in big} | h_columns
@@ -217,7 +232,7 @@ def construct_amiable_main(
         raise ConstructionInvariantError(
             f"repair columns {sorted(targets - allowed)} escape the witness piece"
         )
-    return coloring, trace, r_final
+    return coloring, trace
 
 
 def _solve_with_rows_to_front(
@@ -226,14 +241,8 @@ def _solve_with_rows_to_front(
     """Swap each column's chosen row with row 1, run the engine on that
     copy and carry the coloring back (row swaps are their own inverse)."""
     rearr = Rearrangement.row_swaps(r, {j: (i, 1) for j, i in chosen.items()})
-    coloring, _, swapped = _run_engine(rearr.apply(r), trace)
-    back_inner = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped})
-    result = rearr.transport_amiable(back_inner.transport_amiable(coloring))
-    problems = amiable_violations(r, result)
-    if problems:
-        raise ConstructionInvariantError(
-            f"transported coloring lost amiability: {problems}"
-        )
+    result = rearr.transport_amiable(_run_engine(rearr.apply(r), trace))
+    _require_amiable(r, result, "transported coloring lost amiability")
     return result
 
 
@@ -253,12 +262,9 @@ def construct_amiable_concentrated_row(
     trace = trace or ConstructionTrace()
     if row not in range(1, r.rows + 1):
         raise HypothesisError(f"row {row} out of range")
-    if not is_eulerian(row_contract(r)):
-        raise HypothesisError("column contraction must be eulerian")
+    _require_eulerian(r)
 
-    row_sub = r.row_subgraph(row)
-    comps = components(row_sub)
-    multi = [c for c in comps if len(c) >= 2]
+    multi = _multi_components(r, row)
     if len(multi) > 1:
         raise HypothesisError(
             f"row {row} has {len(multi)} components with more than one vertex"
@@ -271,14 +277,13 @@ def construct_amiable_concentrated_row(
             continue
         # (row, j) is isolated within its row: the column may have at most
         # one busy vertex, and row 1 must end up fully isolated.
-        busy = [i for i in range(1, r.rows + 1) if r.degree((i, j)) > 0]
+        busy = _busy_vertices(r, j)
         if len(busy) > 1:
             raise HypothesisError(
                 f"column {j} has {len(busy)} busy vertices next to an isolated "
                 f"row-{row} vertex"
             )
-        idle = [i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0]
-        chosen[j] = idle[0]
+        chosen[j] = _first_idle_row(r, j)
     trace.record("row_to_front", row=row, chosen_rows=chosen)
     return _solve_with_rows_to_front(r, chosen, trace)
 
@@ -310,6 +315,11 @@ def _busy_vertices(r: RowGraph, j: int) -> list:
     return [(i, j) for i in range(1, r.rows + 1) if r.degree((i, j)) > 0]
 
 
+def _first_idle_row(r: RowGraph, j: int) -> int | None:
+    """The least row whose vertex in column j has no edge, or None."""
+    return next((i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0), None)
+
+
 def _solve_loose_part(r: RowGraph, special: int | None, trace: ConstructionTrace) -> AmiableColoring:
     """Engine entry for a part in which every non-special column has at
     most one busy vertex."""
@@ -330,11 +340,8 @@ def _solve_loose_part(r: RowGraph, special: int | None, trace: ConstructionTrace
     for j in range(1, r.s + 1):
         if j in chosen:
             continue
-        idle = [i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0]
-        if idle:
-            chosen[j] = idle[0]
-        else:
-            chosen[j] = 1  # special column with <=1 busy vertex but no idle row
+        # a special column with <=1 busy vertex but no idle row stays as it is
+        chosen[j] = _first_idle_row(r, j) or 1
     trace.record(
         "loose_part",
         special=special,
@@ -378,8 +385,7 @@ def construct_amiable_two_busy_columns(
     trace = trace or ConstructionTrace()
     if p == q or p not in range(1, r.s + 1) or q not in range(1, r.s + 1):
         raise HypothesisError("need two distinct valid column indices")
-    if not is_eulerian(row_contract(r)):
-        raise HypothesisError("column contraction must be eulerian")
+    _require_eulerian(r)
     for j in range(1, r.s + 1):
         if j in (p, q):
             continue
@@ -396,10 +402,10 @@ def construct_amiable_two_busy_columns(
         for j in range(1, r.s + 1):
             if j in chosen:
                 continue
-            idle = [i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0]
-            if not idle:
+            idle = _first_idle_row(r, j)
+            if idle is None:
                 raise HypothesisError(f"column {j} must contain two isolated vertices")
-            chosen[j] = idle[0]
+            chosen[j] = idle
         trace.record("path_to_front", path=[list(v) for v in path])
         return _solve_with_rows_to_front(r, chosen, trace)
 
@@ -435,9 +441,7 @@ def construct_amiable_two_busy_columns(
         part_coloring = _solve_loose_part(part, part_special, trace)
         _merge_part_coloring(merged_f, merged_g, part_coloring, mapping)
     result = AmiableColoring(f=merged_f, g=merged_g)
-    problems = amiable_violations(r, result)
-    if problems:
-        raise ConstructionInvariantError(f"merged coloring is not amiable: {problems}")
+    _require_amiable(r, result, "merged coloring is not amiable")
     return result
 
 
@@ -508,12 +512,16 @@ def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
     return rel12, rel23
 
 
+def _require_mode(mode: str) -> None:
+    if mode not in (STANDARD, SYMMETRIC):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None) -> bool:
     """Literal evaluation of the parity-coloring conditions (neighbor
     counts with edge multiplicity)."""
     mode = mode or phi.mode
-    if mode not in (STANDARD, SYMMETRIC):
-        raise ValueError(f"unknown mode {mode!r}")
+    _require_mode(mode)
     rel12, rel23 = _pair_relations(r, mode)
     for j in range(1, r.s + 1):
         same12 = ((1, j) in phi.black) == ((2, j) in phi.black)
@@ -528,21 +536,6 @@ def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None
     return True
 
 
-def has_parity_coloring_bruteforce(r: RowGraph, mode: str, max_s: int = 6) -> ParityColoring | None:
-    """Exhaustive search over all 2^(3s) black/white assignments."""
-    import itertools
-
-    if r.s > max_s:
-        raise OracleLimitError(f"s={r.s} exceeds the brute-force guard {max_s}")
-    verts = r.vertices()
-    for bits in itertools.product((False, True), repeat=len(verts)):
-        black = frozenset(v for v, b in zip(verts, bits) if b)
-        phi = ParityColoring(black=black, mode=mode)
-        if is_parity_coloring(r, phi, mode):
-            return phi
-    return None
-
-
 def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
     """Exact search over GF(2), one bit per column.
 
@@ -550,7 +543,8 @@ def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
     (2, j) and (3, j), and every row component needs an even number of
     black vertices, one equation each.  Returns the first solution in the
     order that tries column 1 white first, then column 2, and so on.
-    Agrees with has_parity_coloring_bruteforce everywhere.
+    Agrees everywhere with an exhaustive search over all 2^(3s)
+    black/white assignments.
     """
     rel12, rel23 = _pair_relations(r, mode)
     flip = {}  # does (i, j) take the other color than (1, j)?
@@ -589,34 +583,22 @@ def _color_degree_in_row(r: RowGraph, a: AmiableColoring, v, color: int) -> int:
     )
 
 
-def amiable_to_parity(r: RowGraph, a: AmiableColoring) -> ParityColoring:
-    """Standard-mode parity coloring read off an amiable coloring."""
+def amiable_to_parity(r: RowGraph, a: AmiableColoring, mode: str = STANDARD) -> ParityColoring:
+    """Parity coloring of the given mode read off an amiable coloring.
+
+    A vertex is black when an odd number of its edges inside its row have
+    one color: color 2 in row 1, color 3 in row 2, and in row 3 color 2
+    (standard) or color 1 (symmetric).
+    """
+    _require_mode(mode)
     _require_identity_f(r, a)
     if not is_amiable(r, a):
         raise HypothesisError("coloring is not amiable")
-    rules = {1: 2, 2: 3, 3: 2}  # row -> which g-color to count inside the row
-    black = set()
-    for j in range(1, r.s + 1):
-        for i in (1, 2, 3):
-            if _color_degree_in_row(r, a, (i, j), rules[i]) % 2 == 1:
-                black.add((i, j))
-    phi = ParityColoring(black=frozenset(black), mode=STANDARD)
-    if not is_parity_coloring(r, phi):
-        raise ConstructionInvariantError("extracted coloring violates the parity conditions")
-    return phi
-
-
-def amiable_to_symmetric(r: RowGraph, a: AmiableColoring) -> ParityColoring:
-    """Symmetric-mode parity coloring read off an amiable coloring."""
-    _require_identity_f(r, a)
-    if not is_amiable(r, a):
-        raise HypothesisError("coloring is not amiable")
-    black = set()
-    for j in range(1, r.s + 1):
-        for i in (1, 2, 3):
-            if _color_degree_in_row(r, a, (i, j), _next_row(i)) % 2 == 1:
-                black.add((i, j))
-    phi = ParityColoring(black=frozenset(black), mode=SYMMETRIC)
+    counted = {1: 2, 2: 3, 3: 2 if mode == STANDARD else 1}  # row -> g-color
+    black = frozenset(
+        v for v in r.vertices() if _color_degree_in_row(r, a, v, counted[v[0]]) % 2 == 1
+    )
+    phi = ParityColoring(black=black, mode=mode)
     if not is_parity_coloring(r, phi):
         raise ConstructionInvariantError("extracted coloring violates the parity conditions")
     return phi
@@ -631,57 +613,29 @@ def _row_joins(r: RowGraph, phi: ParityColoring) -> dict[int, set]:
 
 
 def parity_to_amiable(r: RowGraph, phi: ParityColoring) -> AmiableColoring:
-    """Rebuild an amiable coloring from a standard parity coloring."""
-    if phi.mode != STANDARD:
-        raise HypothesisError("expected a standard-mode coloring")
-    if not is_eulerian(row_contract(r)):
-        raise HypothesisError("column contraction must be eulerian")
+    """Rebuild an amiable coloring from a parity coloring of either mode.
+
+    An edge between two rows takes the third color.  Inside row i an edge
+    on the acyclic t-join of the row's black vertices takes one color and
+    any other edge another: (2, 3) in row 1, (3, 1) in row 2, and in row 3
+    (2, 1) for a standard coloring or (1, 2) for a symmetric one.
+    """
+    _require_mode(phi.mode)
+    _require_eulerian(r)
     if not is_parity_coloring(r, phi):
         raise HypothesisError("coloring violates the parity conditions")
-    joins = _row_joins(r, phi)
-    g = {}
-    for e in r.edges:
-        rows = (e.a[0], e.b[0])
-        key = frozenset(rows)
-        if key == frozenset({2}):
-            g[e.eid] = 3 if e.eid in joins[2] else 1
-        elif key == frozenset({3}):
-            g[e.eid] = 2 if e.eid in joins[3] else 1
-        elif key == frozenset({1}):
-            g[e.eid] = 2 if e.eid in joins[1] else 3
-        elif key == frozenset({2, 3}):
-            g[e.eid] = 1
-        elif key == frozenset({1, 2}):
-            g[e.eid] = 3
-        else:
-            g[e.eid] = 2
-    a = AmiableColoring(f=identity_f(r), g=g)
-    problems = amiable_violations(r, a)
-    if problems:
-        raise ConstructionInvariantError(f"rebuilt coloring is not amiable: {problems}")
-    return a
-
-
-def symmetric_to_amiable(r: RowGraph, phi: ParityColoring) -> AmiableColoring:
-    """Rebuild an amiable coloring from a symmetric parity coloring."""
-    if phi.mode != SYMMETRIC:
-        raise HypothesisError("expected a symmetric-mode coloring")
-    if not is_eulerian(row_contract(r)):
-        raise HypothesisError("column contraction must be eulerian")
-    if not is_parity_coloring(r, phi):
-        raise HypothesisError("coloring violates the parity conditions")
+    in_row = {1: (2, 3), 2: (3, 1), 3: (2, 1) if phi.mode == STANDARD else (1, 2)}
     joins = _row_joins(r, phi)
     g = {}
     for e in r.edges:
         ra, rb = e.a[0], e.b[0]
         if ra == rb:
-            g[e.eid] = _next_row(ra) if e.eid in joins[ra] else _next_row(_next_row(ra))
+            on_join, off_join = in_row[ra]
+            g[e.eid] = on_join if e.eid in joins[ra] else off_join
         else:
-            g[e.eid] = ({1, 2, 3} - {ra, rb}).pop()
+            g[e.eid] = 6 - ra - rb
     a = AmiableColoring(f=identity_f(r), g=g)
-    problems = amiable_violations(r, a)
-    if problems:
-        raise ConstructionInvariantError(f"rebuilt coloring is not amiable: {problems}")
+    _require_amiable(r, a, "rebuilt coloring is not amiable")
     return a
 
 
@@ -812,26 +766,16 @@ def normalize_frame_coloring(
 
 def amiable_coloring_for_frame(
     g: Multigraph, frame: Frame, coloring: PerfectColoring, witness: Witness
-) -> tuple[Frame, PerfectColoring, AmiableColoring, ConstructionTrace, RowGraph]:
+) -> tuple[Frame, PerfectColoring, AmiableColoring, ConstructionTrace]:
     """Full constructive path from a well-connected coloring to an amiable
-    coloring, keeping frame and coloring synchronized with the row graph.
+    coloring.
 
-    Returns (relabeled frame, final coloring, amiable coloring, trace, row
-    graph); the amiable coloring is valid on the returned row graph, which
-    equals the row graph of (frame, final coloring).
+    Returns (relabeled frame, normalized coloring, amiable coloring,
+    trace); the amiable coloring is valid on the row graph of the relabeled
+    frame and the normalized coloring.
     """
     trace = ConstructionTrace()
     frame2, coloring2, h_columns, k = normalize_frame_coloring(frame, coloring, witness, trace)
     r = build_row_graph(g, frame2, coloring2)
-    amiable, trace, r_final = construct_amiable_main(r, h_columns, k, trace)
-    swap_step = trace.find("row23_swap")
-    if swap_step:
-        coloring2 = permute_component_colors(
-            frame2, coloring2, {j: {1: 1, 2: 3, 3: 2} for j in swap_step["columns"]}
-        )
-        rebuilt = build_row_graph(g, frame2, coloring2)
-        if rebuilt.edge_signature() != r_final.edge_signature():
-            raise ConstructionInvariantError(
-                "row swap did not match the corresponding color swap"
-            )
-    return frame2, coloring2, amiable, trace, r_final
+    amiable, trace = construct_amiable_main(r, h_columns, k, trace)
+    return frame2, coloring2, amiable, trace

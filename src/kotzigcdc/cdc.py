@@ -11,7 +11,6 @@ classes and exactly double coverage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,11 +56,6 @@ class CdcCertificate:
         return CdcCertificate(
             classes={label: tuple(tuple(cyc) for cyc in cycles) for label, cycles in classes.items()}
         )
-
-    def dump(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
 
 def partition_chords(f: Frame, coloring: PerfectColoring) -> tuple[frozenset, frozenset, frozenset]:
@@ -210,7 +204,7 @@ def two_cycle_cover_even(
 
 
 def fold_vertex_coloring(
-    g: Multigraph, f: Frame, coloring: PerfectColoring, amiable: AmiableColoring
+    f: Frame, coloring: PerfectColoring, amiable: AmiableColoring
 ) -> PerfectColoring:
     """Push the amiable vertex coloring into the frame coloring so that the
     rebuilt row graph carries the identity vertex coloring.
@@ -239,7 +233,7 @@ def construct_6cdc(
     if not is_amiable(r, amiable):
         raise HypothesisError("coloring is not amiable for this row graph")
 
-    folded = fold_vertex_coloring(g, f, coloring, amiable)
+    folded = fold_vertex_coloring(f, coloring, amiable)
     r2 = build_row_graph(g, f, folded)
     identity = {(i, j): i for j in range(1, f.s + 1) for i in (1, 2, 3)}
     normalized = AmiableColoring(f=identity, g=dict(amiable.g))

@@ -94,7 +94,7 @@ def run_pipeline(
                 continue
             report.stages.append("well_connected")
             coloring, witness = found
-            frame2, coloring2, amiable, trace, _ = amiable_coloring_for_frame(
+            frame2, coloring2, amiable, trace = amiable_coloring_for_frame(
                 g, frame, coloring, witness
             )
             report.stages.append("amiable")

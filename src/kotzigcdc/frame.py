@@ -10,11 +10,11 @@ their host ids.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FrameError, NotCubicError, OracleLimitError
+from .errors import FrameError, GraphFormatError, NotCubicError, OracleLimitError
 from .kotzig import (
     CYCLE,
     KOTZIG_SUBDIVISION,
@@ -46,6 +46,7 @@ class FrameComponent:
     vertices: tuple[Vertex, ...]
     edge_ids: tuple[EdgeId, ...]
     classification: Classification
+    piece: Multigraph = field(compare=False, repr=False)  # the component as a subgraph
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,16 @@ def validate_frame(
 ) -> Frame:
     """Check an edge set against the frame definition and classify it.
 
-    The host must be cubic.
+    The host must be cubic, and every edge id one of its own, type and
+    all (see Multigraph.has_edge).
     """
     if not g.is_cubic():
         raise NotCubicError("frame host must be 3-regular")
-    frame_edges = frozenset(frame_edges)
+    frame_edges = tuple(frame_edges)
     for eid in frame_edges:
-        g.endpoints(eid)
+        if not g.has_edge(eid):
+            raise GraphFormatError(f"unknown edge id {eid!r}")
+    frame_edges = frozenset(frame_edges)
 
     sub = g.subgraph_of_edges(frame_edges, keep_vertices=g.vertices)
     comps = components(sub)
@@ -177,6 +181,7 @@ def validate_frame(
                 vertices=tuple(comp_vertices),
                 edge_ids=tuple(comp_eids),
                 classification=cls,
+                piece=piece,
             )
         )
 
@@ -210,9 +215,8 @@ def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
     """Frame-level perfect coloring test: each K-component lifts a Kotzig
     coloring of its base, each C-component is monochromatic."""
     for comp in f.components:
-        piece = f.host.subgraph_of_edges(comp.edge_ids, keep_vertices=comp.vertices)
         if not is_perfect_component_coloring(
-            piece, comp.classification, coloring.vertex_color, coloring.edge_color
+            comp.piece, comp.classification, coloring.vertex_color, coloring.edge_color
         ):
             return False
     return True
@@ -277,10 +281,9 @@ def enumerate_frame_colorings(f: Frame) -> Iterator[PerfectColoring]:
     order = _component_order_for_search(f)
     choice_lists = []
     for pos, comp in enumerate(order):
-        piece = f.host.subgraph_of_edges(comp.edge_ids, keep_vertices=comp.vertices)
         frags = list(
             enumerate_perfect_colorings(
-                piece, comp.classification, representatives=(pos == 0)
+                comp.piece, comp.classification, representatives=(pos == 0)
             )
         )
         choice_lists.append((comp.label, frags))

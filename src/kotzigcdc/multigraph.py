@@ -24,7 +24,7 @@ class Multigraph:
     preserves degree parity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index")
+    __slots__ = ("_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index", "_typed_ids")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[EdgeId, Vertex, Vertex]]):
         self._vertices: tuple[Vertex, ...] = tuple(vertices)
@@ -51,6 +51,7 @@ class Multigraph:
         for v in loops:  # listed once at v, a loop counts 2
             self._degree[v] += 1
         self._index: dict[Vertex, int] | None = None
+        self._typed_ids: frozenset | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -75,7 +76,12 @@ class Multigraph:
         return v in self._vertex_set
 
     def has_edge(self, eid: EdgeId) -> bool:
-        return eid in self._edges
+        """Whether eid is an edge id of this graph, compared with its type:
+        1.0 and True equal 1 as dictionary keys, yet name no edge 1.  The
+        (type, id) set is built on the first call and kept."""
+        if self._typed_ids is None:
+            self._typed_ids = frozenset((type(e), e) for e in self._edges)
+        return (type(eid), eid) in self._typed_ids
 
     def is_loop(self, eid: EdgeId) -> bool:
         a, b = self.endpoints(eid)
@@ -138,9 +144,6 @@ class VertexMap:
 
     def __getitem__(self, v: Vertex) -> Vertex:
         return self.mapping[v]
-
-    def preimage(self, new: Vertex) -> list[Vertex]:
-        return [v for v, w in self.mapping.items() if w == new]
 
 
 def _sort_key(value):

@@ -28,9 +28,6 @@ class RowEdge:
     b: GridVertex
     origin: object | None = None
 
-    def touches(self, v: GridVertex) -> bool:
-        return self.a == v or self.b == v
-
     def other(self, v: GridVertex) -> GridVertex:
         if v == self.a:
             return self.b
@@ -89,15 +86,8 @@ class RowGraph:
     def edges_within_row(self, i: int) -> list[RowEdge]:
         return self.edges_within_rows({i})
 
-    def cross_edges(self, i1: int, i2: int) -> list[RowEdge]:
-        return [e for e in self.edges if {e.a[0], e.b[0]} == {i1, i2}]
-
     def edge_map(self) -> dict:
         return {e.eid: e for e in self.edges}
-
-    def to_multigraph(self, edges: Iterable[RowEdge] | None = None) -> Multigraph:
-        chosen = self.edges if edges is None else tuple(edges)
-        return Multigraph(self.vertices(), [(e.eid, e.a, e.b) for e in chosen])
 
     def row_subgraph(self, i: int) -> Multigraph:
         """Induced subgraph on one row, keeping all s row vertices."""
@@ -105,9 +95,6 @@ class RowGraph:
             [(i, j) for j in range(1, self.s + 1)],
             [(e.eid, e.a, e.b) for e in self.edges_within_row(i)],
         )
-
-    def edge_signature(self) -> frozenset:
-        return frozenset((e.eid, frozenset((e.a, e.b))) for e in self.edges)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RowGraph(rows={self.rows}, s={self.s}, edges={len(self.edges)})"

@@ -14,15 +14,12 @@ from kotzigcdc.amiable import (
     STANDARD,
     SYMMETRIC,
     amiable_to_parity,
-    amiable_to_symmetric,
     construct_amiable_concentrated_row,
     construct_amiable_two_busy_columns,
     find_parity_coloring,
-    has_parity_coloring_bruteforce,
     identity_f,
     is_parity_coloring,
     parity_to_amiable,
-    symmetric_to_amiable,
 )
 from kotzigcdc.catalog import k4, petersen, theta_graph
 from kotzigcdc.cli import run_pipeline
@@ -50,6 +47,7 @@ from kotzigcdc.switching import (
     switchable_to_blue,
     t_join_degrees_ok,
 )
+from tests.test_amiable import has_parity_coloring_bruteforce
 
 
 def test_criterion_1_corpus_end_to_end():
@@ -379,9 +377,9 @@ def test_criterion_5_three_way_equivalence():
                 phi = amiable_to_parity(r, a)
                 assert is_parity_coloring(r, phi, STANDARD)
                 assert is_amiable(r, parity_to_amiable(r, phi))
-                psi = amiable_to_symmetric(r, a)
+                psi = amiable_to_parity(r, a, SYMMETRIC)
                 assert is_parity_coloring(r, psi, SYMMETRIC)
-                assert is_amiable(r, symmetric_to_amiable(r, psi))
+                assert is_amiable(r, parity_to_amiable(r, psi))
             samples += 1
 
         counted, positive = _sweep_three_way(s, _instances_for_s(s, 8), hook)

@@ -13,21 +13,18 @@ from kotzigcdc.amiable import (
     _pair_relations,
     _row_components,
     amiable_to_parity,
-    amiable_to_symmetric,
     construct_amiable_concentrated_row,
     construct_amiable_main,
     construct_amiable_two_busy_columns,
     find_parity_coloring,
-    has_parity_coloring_bruteforce,
     identity_f,
     is_parity_coloring,
     normalize_frame_coloring,
     parity_to_amiable,
-    symmetric_to_amiable,
 )
 from kotzigcdc.catalog import cube_graph, petersen, prism
 from kotzigcdc.corpus import cubic_corpus
-from kotzigcdc.errors import ConstructionInvariantError, HypothesisError
+from kotzigcdc.errors import ConstructionInvariantError, HypothesisError, OracleLimitError
 from kotzigcdc.frame import (
     PerfectColoring,
     build_colored_contraction,
@@ -37,7 +34,7 @@ from kotzigcdc.frame import (
     validate_frame,
     well_connected_witness,
 )
-from kotzigcdc.multigraph import Multigraph, components
+from kotzigcdc.multigraph import Multigraph, components, is_eulerian
 from kotzigcdc.rowgraph import (
     AmiableColoring,
     RowGraph,
@@ -46,8 +43,11 @@ from kotzigcdc.rowgraph import (
     enumerate_row_graphs,
     extend_to_amiable,
     is_amiable,
+    row_contract,
 )
+from kotzigcdc.switching import acyclic_t_join
 from tests.test_cdc import planted_host, planted_multi_k_hosts
+from tests.test_rowgraph import edge_signature
 
 
 # -- the main construction -----------------------------------------------------
@@ -55,15 +55,15 @@ from tests.test_cdc import planted_host, planted_multi_k_hosts
 
 def test_main_trivial_single_column():
     r = RowGraph(1, [])
-    a, trace, rf = construct_amiable_main(r)
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r)
+    assert is_amiable(r, a)
 
 
 def test_main_on_normalized_cube_instance():
     # both squares absorbed into the witness piece: edges sit in row 1
     r = RowGraph(2, [(i, (1, 1), (1, 2)) for i in range(4)])
-    a, trace, rf = construct_amiable_main(r)
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r)
+    assert is_amiable(r, a)
     assert brute_force_amiable(r) is not None
 
 
@@ -72,8 +72,8 @@ def test_main_rejects_unnormalized_shape():
     with pytest.raises(HypothesisError):
         construct_amiable_main(r)
     # but the same column marked as witness-held is allowed
-    a, trace, rf = construct_amiable_main(r, h_columns={1, 2})
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r, h_columns={1, 2})
+    assert is_amiable(r, a)
 
 
 def test_main_two_multi_components_rejected():
@@ -90,7 +90,9 @@ def test_main_two_multi_components_rejected():
 
 def test_main_row_swap_instance():
     """Instance engineered so the lower t-join crosses rows 2/3 and the
-    swap machinery kicks in."""
+    swap machinery kicks in; the coloring is carried back through the swap,
+    so it is amiable on the graph passed in, with f = (2, 1, 3) down the
+    swapped column."""
     r = RowGraph(
         3,
         [
@@ -99,9 +101,11 @@ def test_main_row_swap_instance():
             (2, (2, 1), (3, 3)),
         ],
     )
-    a, trace, rf = construct_amiable_main(r)
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r)
     assert trace.find("lower_join") is not None
+    assert trace.find("row23_swap")["columns"] == [3]
+    assert is_amiable(r, a)
+    assert [a.f[(i, 3)] for i in (1, 2, 3)] == [2, 1, 3]
 
 
 # -- concentrated-row construction ------------------------------------------------
@@ -243,6 +247,20 @@ def test_single_black_vertex_fails_evenness():
     r = RowGraph(2, [])
     phi = ParityColoring(black=frozenset([(1, 1)]), mode=STANDARD)
     assert not is_parity_coloring(r, phi)
+
+
+def has_parity_coloring_bruteforce(r, mode, max_s=6):
+    """Exhaustive search over all 2^(3s) black/white assignments; the
+    referee of find_parity_coloring."""
+    if r.s > max_s:
+        raise OracleLimitError(f"s={r.s} exceeds the brute-force guard {max_s}")
+    verts = r.vertices()
+    for bits in itertools.product((False, True), repeat=len(verts)):
+        black = frozenset(v for v, b in zip(verts, bits) if b)
+        phi = ParityColoring(black=black, mode=mode)
+        if is_parity_coloring(r, phi, mode):
+            return phi
+    return None
 
 
 def test_parity_bruteforce_and_fast_agree():
@@ -397,16 +415,192 @@ def test_conversion_round_trips():
         if g is None:
             continue
         a = AmiableColoring(f=identity_f(r), g=g)
-        std = amiable_to_parity(r, a)
-        assert is_parity_coloring(r, std, STANDARD)
-        back = parity_to_amiable(r, std)
-        assert is_amiable(r, back)
-        sym = amiable_to_symmetric(r, a)
-        assert is_parity_coloring(r, sym, SYMMETRIC)
-        back2 = symmetric_to_amiable(r, sym)
-        assert is_amiable(r, back2)
+        for mode in (STANDARD, SYMMETRIC):
+            phi = amiable_to_parity(r, a, mode)
+            assert phi.mode == mode and is_parity_coloring(r, phi, mode)
+            assert is_amiable(r, parity_to_amiable(r, phi))
         checked += 1
     assert checked > 1000
+
+
+def test_conversions_reject_an_unknown_mode():
+    r = RowGraph(2, [(0, (1, 1), (1, 2)), (1, (1, 1), (1, 2))])
+    a = AmiableColoring(f=identity_f(r), g=extend_to_amiable(r, identity_f(r)))
+    with pytest.raises(ValueError, match="unknown mode"):
+        amiable_to_parity(r, a, "skew")
+    with pytest.raises(ValueError, match="unknown mode"):
+        parity_to_amiable(r, ParityColoring(black=frozenset(), mode="skew"))
+
+
+# -- the four conversions that the two merged ones replaced, kept as referees ----
+
+
+def _ref_require_identity_f(r, a):
+    if any(a.f.get((i, j)) != i for j in range(1, r.s + 1) for i in range(1, r.rows + 1)):
+        raise HypothesisError("conversion requires the vertex coloring f(row i) = i")
+
+
+def _ref_color_degree_in_row(r, a, v, color):
+    row = v[0]
+    return sum(
+        1
+        for e in r.edges_at(v)
+        if e.a[0] == row and e.b[0] == row and a.g[e.eid] == color
+    )
+
+
+def _ref_row_joins(r, phi):
+    joins = {}
+    for i in (1, 2, 3):
+        blacks = {(i, j) for j in range(1, r.s + 1) if (i, j) in phi.black}
+        joins[i] = acyclic_t_join(r.row_subgraph(i), blacks)
+    return joins
+
+
+def _ref_require_rebuild_input(r, phi, mode):
+    if phi.mode != mode:
+        raise HypothesisError(f"expected a {mode}-mode coloring")
+    if not is_eulerian(row_contract(r)):
+        raise HypothesisError("column contraction must be eulerian")
+    if not is_parity_coloring(r, phi):
+        raise HypothesisError("coloring violates the parity conditions")
+
+
+def _ref_amiable(r, g):
+    a = AmiableColoring(f=identity_f(r), g=g)
+    if not is_amiable(r, a):
+        raise ConstructionInvariantError("rebuilt coloring is not amiable")
+    return a
+
+
+def ref_amiable_to_parity(r, a):
+    _ref_require_identity_f(r, a)
+    if not is_amiable(r, a):
+        raise HypothesisError("coloring is not amiable")
+    rules = {1: 2, 2: 3, 3: 2}  # row -> which g-color to count inside the row
+    black = set()
+    for j in range(1, r.s + 1):
+        for i in (1, 2, 3):
+            if _ref_color_degree_in_row(r, a, (i, j), rules[i]) % 2 == 1:
+                black.add((i, j))
+    phi = ParityColoring(black=frozenset(black), mode=STANDARD)
+    if not is_parity_coloring(r, phi):
+        raise ConstructionInvariantError("extracted coloring violates the parity conditions")
+    return phi
+
+
+def ref_amiable_to_symmetric(r, a):
+    _ref_require_identity_f(r, a)
+    if not is_amiable(r, a):
+        raise HypothesisError("coloring is not amiable")
+    black = set()
+    for j in range(1, r.s + 1):
+        for i in (1, 2, 3):
+            if _ref_color_degree_in_row(r, a, (i, j), i % 3 + 1) % 2 == 1:
+                black.add((i, j))
+    phi = ParityColoring(black=frozenset(black), mode=SYMMETRIC)
+    if not is_parity_coloring(r, phi):
+        raise ConstructionInvariantError("extracted coloring violates the parity conditions")
+    return phi
+
+
+def ref_parity_to_amiable(r, phi):
+    _ref_require_rebuild_input(r, phi, STANDARD)
+    joins = _ref_row_joins(r, phi)
+    g = {}
+    for e in r.edges:
+        key = frozenset((e.a[0], e.b[0]))
+        if key == frozenset({2}):
+            g[e.eid] = 3 if e.eid in joins[2] else 1
+        elif key == frozenset({3}):
+            g[e.eid] = 2 if e.eid in joins[3] else 1
+        elif key == frozenset({1}):
+            g[e.eid] = 2 if e.eid in joins[1] else 3
+        elif key == frozenset({2, 3}):
+            g[e.eid] = 1
+        elif key == frozenset({1, 2}):
+            g[e.eid] = 3
+        else:
+            g[e.eid] = 2
+    return _ref_amiable(r, g)
+
+
+def ref_symmetric_to_amiable(r, phi):
+    _ref_require_rebuild_input(r, phi, SYMMETRIC)
+    joins = _ref_row_joins(r, phi)
+    g = {}
+    for e in r.edges:
+        ra, rb = e.a[0], e.b[0]
+        if ra == rb:
+            g[e.eid] = ra % 3 + 1 if e.eid in joins[ra] else (ra + 1) % 3 + 1
+        else:
+            g[e.eid] = ({1, 2, 3} - {ra, rb}).pop()
+    return _ref_amiable(r, g)
+
+
+def random_eulerian_row_graph(rng, s):
+    """One to three closed walks over the columns, each step an edge
+    between random rows."""
+    edges = []
+    for _ in range(rng.randint(1, 3)):
+        cols = [rng.randint(1, s)]
+        for _ in range(rng.randint(1, 5)):
+            cols.append(rng.choice([c for c in range(1, s + 1) if c != cols[-1]]))
+        if cols[-1] == cols[0]:
+            cols.pop()
+        if len(cols) < 2:
+            continue
+        for p, q in zip(cols, cols[1:] + cols[:1]):
+            edges.append((len(edges), (rng.randint(1, 3), p), (rng.randint(1, 3), q)))
+    return RowGraph(s, edges)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HypothesisError, ConstructionInvariantError) as exc:
+        return type(exc)
+
+
+def test_merged_conversions_match_the_four_referees():
+    """amiable_to_parity in either mode and parity_to_amiable give what the
+    four mode-specific conversions gave: on every orbit with s <= 3 and at
+    most 6 edges, and on seeded random eulerian row graphs with s = 3 to 6.
+    Each rebuild runs on the extracted coloring, on the one
+    find_parity_coloring gives, and on that one with a vertex flipped."""
+    rng = random.Random(37)
+    insts = [
+        r
+        for s in (1, 2, 3)
+        for r in enumerate_row_graphs(s, 6, up_to_rearrangement=True)
+    ]
+    insts += [random_eulerian_row_graph(rng, rng.randint(3, 6)) for _ in range(1200)]
+    referees = {
+        STANDARD: (ref_amiable_to_parity, ref_parity_to_amiable),
+        SYMMETRIC: (ref_amiable_to_symmetric, ref_symmetric_to_amiable),
+    }
+    converted = rejected = 0
+    for r in insts:
+        g = extend_to_amiable(r, identity_f(r))
+        for mode, (extract, rebuild) in referees.items():
+            found = find_parity_coloring(r, mode)
+            phis = [] if found is None else [found]
+            if g is not None:
+                a = AmiableColoring(f=identity_f(r), g=g)
+                phi = amiable_to_parity(r, a, mode)
+                assert phi == extract(r, a)
+                phis.append(phi)
+            if found is not None:
+                v = rng.choice(r.vertices())
+                phis.append(ParityColoring(black=found.black ^ {v}, mode=mode))
+            for phi in phis:
+                rebuilt = _outcome(parity_to_amiable, r, phi)
+                assert rebuilt == _outcome(rebuild, r, phi)
+                if isinstance(rebuilt, AmiableColoring):
+                    converted += 1
+                else:
+                    rejected += 1
+    assert converted > 2000 and rejected > 500, (converted, rejected)
 
 
 def test_rearrangement_equivalence_with_parity():
@@ -465,8 +659,8 @@ def test_normalize_cube_two_squares():
     f2, col2, h_cols, k = normalize_frame_coloring(f, coloring, witness)
     assert k == 0
     r = build_row_graph(g, f2, col2)
-    a, trace, rf = construct_amiable_main(r, h_cols, k)
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r, h_cols, k)
+    assert is_amiable(r, a)
 
 
 def test_normalize_petersen_spanning_subdivision():
@@ -476,8 +670,8 @@ def test_normalize_petersen_spanning_subdivision():
     f2, col2, h_cols, k = normalize_frame_coloring(frame, coloring, witness)
     assert k == 1
     r = build_row_graph(g, f2, col2)
-    a, trace, rf = construct_amiable_main(r, h_cols, k)
-    assert is_amiable(rf, a)
+    a, trace = construct_amiable_main(r, h_cols, k)
+    assert is_amiable(r, a)
 
 
 def _component_key(c):
@@ -520,9 +714,8 @@ def test_normalize_relabel_matches_revalidation(g):
         ]
         assert relabeled.chords == reference.chords
         assert relabeled.label_of == reference.label_of
-        assert (
-            build_row_graph(g, relabeled, col2).edge_signature()
-            == build_row_graph(g, reference, col2).edge_signature()
+        assert edge_signature(build_row_graph(g, relabeled, col2)) == edge_signature(
+            build_row_graph(g, reference, col2)
         )
         checked += 1
     # bridged graphs have no frame; every other graph here is covered

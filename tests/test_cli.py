@@ -60,6 +60,24 @@ def test_verify_tampered_exits_1(theta_file, tmp_path, capsys):
     assert "INVALID" in out
 
 
+@pytest.mark.parametrize("alias", [1.0, True], ids=["float_id", "bool_id"])
+def test_verify_rejects_an_edge_id_equal_only_in_value(tmp_path, capsys, alias):
+    """1.0 and true equal edge 1 as dictionary keys, but name no edge of
+    the host: a certificate that lists one uses an unknown edge."""
+    gpath = tmp_path / "k4.json"
+    save_graph_json(k4(), gpath)
+    cert_path = tmp_path / "cert.json"
+    assert main(["pipeline", str(gpath), "--certificate", str(cert_path)]) == 0
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    cycle = next(c for cycles in cert["classes"].values() for c in cycles if 1 in c)
+    cycle[cycle.index(1)] = alias
+    cert_path.write_text(json.dumps(cert))
+    assert main(["verify", str(gpath), str(cert_path)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID" in out and f"uses unknown edges [{alias!r}]" in out
+
+
 def test_pipeline_petersen_needs_exhaustive(petersen_file, capsys):
     assert main(["pipeline", str(petersen_file)]) == 2
     capsys.readouterr()
@@ -144,8 +162,15 @@ def test_pipeline_frame_file_without_frame_edges(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "frame_file",
-    [{"frame_edges": [99]}, {"frame_edges": 5}, {"frame_edges": [[1]]}, {"frame_edges": [{}]}],
-    ids=["unknown_edge", "not_a_list", "list_entry", "object_entry"],
+    [
+        {"frame_edges": [99]},
+        {"frame_edges": 5},
+        {"frame_edges": [[1]]},
+        {"frame_edges": [{}]},
+        {"frame_edges": [0, 1.0, 2, 3, 4, 5]},
+        {"frame_edges": [0, True, 2, 3, 4, 5]},
+    ],
+    ids=["unknown_edge", "not_a_list", "list_entry", "object_entry", "float_id", "bool_id"],
 )
 def test_pipeline_bad_frame_edges(tmp_path, capsys, frame_file):
     gpath = tmp_path / "k4.json"
