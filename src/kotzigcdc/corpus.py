@@ -10,29 +10,33 @@ There is one tree shape for each t <= 3, and the three on at most 14
 vertices are injected explicitly: balloon_flower (6), balloon_star (10)
 and balloon_h (14).  The next one is at 18.  The generator is proved
 complete up to 10 and counted complete at 12 and 14 against A005967
-(509 and 3,608 graphs); above MAX_COMPLETE_ORDER it refuses with
-OracleLimitError.  Isomorphism reduction keeps the first candidate of each
-exact canonical form.
+(509 and 3,608 graphs).  At every order up to 14 the tests also check the
+mass formula: the sum of n!/|Aut(G)| over the classes is the number of
+labelled graphs, so no class is missing or doubled.  Above
+MAX_COMPLETE_ORDER it refuses with OracleLimitError.  Isomorphism
+reduction keeps the first candidate of each exact canonical form.
 
 Only one edge pair per automorphism orbit of each parent is expanded
 (McKay, "Isomorph-free exhaustive generation", 1998).  An automorphism that
 maps one pair onto another makes their children isomorphic, and so do
 parallel edges, which can be swapped: a pair is keyed by the multiset of
 its two end pairs and whether it names one edge twice.  The parent's group
-comes from the canonical-form search for free.  A skipped child is
-isomorphic to an earlier child of the same parent, and the dedupe keeps the
-first candidate of each class, so the corpus is the same, graph for graph
-and edge for edge, as when every pair is expanded.
+comes from the canonical-form search for free: that search skips every
+branch that an automorphism it has already found maps from a searched one,
+and the automorphisms it finds on the way generate the whole group
+(McKay, "Practical graph isomorphism", 1981).  A pair left unexpanded
+gives a child isomorphic to an earlier child of the same parent, and the
+dedupe keeps the first candidate of each class, so the corpus is the same,
+graph for graph and edge for edge, as when every pair is expanded.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import lru_cache
 
 from .catalog import theta_graph
-from .errors import OracleLimitError
+from .errors import ConstructionInvariantError, OracleLimitError
 from .multigraph import Multigraph, is_connected
 
 MAX_COMPLETE_ORDER = 14  # the largest order whose count is checked against A005967
@@ -40,27 +44,43 @@ MAX_COMPLETE_ORDER = 14  # the largest order whose count is checked against A005
 
 def _refine(colour: list, nbrs: list[tuple]) -> list[int]:
     """Coarsest equitable refinement: split cells by the sorted (colour,
-    multiplicity) pairs of each vertex's neighbours until nothing splits.
+    multiplicity) pairs of each vertex's neighbours until nothing splits
+    (a singleton cell cannot split, so its vertex keeps its colour alone).
     The colours returned are ranks of sorted keys, so they do not depend
     on labels; the colours given may be any comparable values."""
-    cells = len(set(colour))
     while True:
+        size: dict = {}
+        for c in colour:
+            size[c] = size.get(c, 0) + 1
         keys = [
-            (c, tuple(sorted([(colour[u], m) for u, m in nb])))
+            (c, tuple(sorted([(colour[u], m) for u, m in nb]))) if size[c] > 1 else (c,)
             for c, nb in zip(colour, nbrs)
         ]
         rank = {key: r for r, key in enumerate(sorted(set(keys)))}
         colour = [rank[key] for key in keys]
-        if len(rank) in (cells, len(keys)):
+        if len(rank) in (len(size), len(keys)):
             return colour
-        cells = len(rank)
 
 
-def _best_leaves(g: Multigraph) -> tuple[tuple, list[list[int]]]:
-    """The individualisation-refinement search behind canonical_form.
+def _orbit(seeds: list[int], perms: list[list[int]]) -> set[int]:
+    """The points reached from seeds under the group generated by perms."""
+    orbit = set(seeds)
+    stack = list(seeds)
+    while stack:
+        u = stack.pop()
+        for p in perms:
+            if p[u] not in orbit:
+                orbit.add(p[u])
+                stack.append(p[u])
+    return orbit
 
-    Returns the form and every leaf colouring that reaches it; a leaf
-    colouring gives vertex g.vertices[i] the label colour[i] in 0..n-1.
+
+def _search(g: Multigraph) -> tuple[tuple, list[list[int]]]:
+    """The pruned individualisation-refinement search behind canonical_form
+    and automorphisms.
+
+    Returns the form and generators of Aut(g); a generator p maps vertex
+    g.vertices[i] to g.vertices[p[i]].
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     n = len(index)
@@ -73,46 +93,69 @@ def _best_leaves(g: Multigraph) -> tuple[tuple, list[list[int]]]:
     nbrs = [tuple(d.items()) for d in adj]
     edges = [(i, j, m) for i, d in enumerate(adj) for j, m in d.items() if i <= j]
 
-    def start_key(v: int) -> tuple:
-        dist = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        profile = [0] * (max(dist.values()) + 1)
-        for d in dist.values():
-            profile[d] += 1
-        return tuple(profile), tuple(sorted(adj[v].values()))
+    # distance profiles: balls[i] is the bit mask of the vertices within
+    # the current radius of i, and every round widens all balls by one
+    balls = [1 << i for i in range(n)]
+    profiles: list[list[int]] = [[1] for _ in range(n)]
+    while True:
+        wider = []
+        for i, d in enumerate(adj):
+            ball = balls[i]
+            for j in d:
+                ball |= balls[j]
+            wider.append(ball)
+        if wider == balls:
+            break
+        for profile, old, new in zip(profiles, balls, wider):
+            if new != old:
+                profile.append(new.bit_count() - old.bit_count())
+        balls = wider
 
-    best = None
-    leaves: list[list[int]] = []
+    gens: list[list[int]] = []
+    first = best = None  # (key, colouring, path) of the first and the best leaf
 
-    def search(colour: list) -> None:
-        nonlocal best, leaves
+    def search(colour: list, path: tuple) -> int:
+        """Search below the node reached by individualising path; return
+        the depth the search resumes at, less than len(path) to jump back."""
+        nonlocal first, best
         colour = _refine(colour, nbrs)
         if len(set(colour)) == n:
-            leaf = sorted([
+            key = sorted([
                 (colour[i], colour[j], m) if colour[i] < colour[j] else (colour[j], colour[i], m)
                 for i, j, m in edges
             ])
-            if best is None or leaf < best:
-                best, leaves = leaf, [colour]
-            elif leaf == best:
-                leaves.append(colour)
-            return
+            for end in (first, best):
+                if end and key == end[0]:
+                    label = [0] * n
+                    for i, c in enumerate(end[1]):
+                        label[c] = i
+                    gens.append([label[c] for c in colour])
+                    # below the common ancestor, this branch is the image of
+                    # the one already searched down to end
+                    return next(d for d, (u, w) in enumerate(zip(path, end[2])) if u != w)
+            if first is None:
+                first = best = (key, colour, path)
+            elif key < best[0]:
+                best = (key, colour, path)
+            return len(path)
         size: dict[int, int] = {}
         for c in colour:
             size[c] = size.get(c, 0) + 1
         cell = min((k, c) for c, k in size.items() if k > 1)[1]
+        tried: list[int] = []
         for v in range(n):
-            if colour[v] == cell:
-                search([2 * c + (u != v) for u, c in enumerate(colour)])
+            if colour[v] != cell:
+                continue
+            if tried and v in _orbit(tried, [p for p in gens if all(p[u] == u for u in path)]):
+                continue
+            tried.append(v)
+            depth = search([2 * c + (u != v) for u, c in enumerate(colour)], path + (v,))
+            if depth < len(path):
+                return depth
+        return len(path)
 
-    search([start_key(v) for v in range(n)])
-    return (n, tuple(best)), leaves
+    search([(tuple(p), tuple(sorted(d.values()))) for p, d in zip(profiles, adj)], ())
+    return (n, tuple(best[0])), gens
 
 
 def canonical_form(g: Multigraph) -> tuple:
@@ -124,29 +167,49 @@ def canonical_form(g: Multigraph) -> tuple:
     simple regular graph).  The search refines to an equitable partition, then
     individualises each vertex of the smallest non-singleton cell in turn,
     ties broken by colour, down to discrete partitions.  Every choice
-    depends on colours only, so the set of leaves is the same for every
-    labelling.  The form is (n, the lex-min over leaves of the sorted
-    (i, j, multiplicity) triples).
+    depends on colours only, so the tree is the same for every labelling.
+    The form is (n, the lex-min over leaves of the sorted (i, j,
+    multiplicity) triples).
+
+    The search is pruned by the automorphisms it finds (McKay, "Practical
+    graph isomorphism", 1981).  A leaf whose triples equal those of the
+    first or the best leaf gives an automorphism: the vertex one of the two
+    leaves labels c goes to the vertex the other labels c.  The subtree
+    below their common ancestor that holds the new leaf is then the image
+    of one already searched, and the search jumps back there.  At each node a
+    vertex is skipped when an automorphism found so far that fixes the
+    node's individualised vertices maps an already tried sibling onto it.
+    Either way the skipped leaves copy searched ones, so the minimum is
+    kept.
     """
-    return _best_leaves(g)[0]
+    return _search(g)[0]
 
 
 def automorphisms(g: Multigraph) -> list[dict]:
     """Every vertex automorphism of g (edge multiplicities kept), each a
     dict from vertex to image, the identity first.
 
-    The search tree of canonical_form is invariant under Aut(g), and
-    refinement keeps the order of colours, so distinct branches end in
-    distinct leaves.  The leaves reaching the form are therefore
-    pi o sigma for one leaf pi and every sigma in Aut(g), once each, and
-    pi^-1 o leaf recovers sigma.
+    The group is the closure of the generators canonical_form's search
+    finds, and that closure is all of Aut(g) (McKay 1981).  Let v1, v2, ...
+    be the vertices individualised on the way to the first leaf.  At the
+    node after v1..vk, every sibling of v(k+1) that the pruning lets
+    through is searched until its subtree yields an automorphism fixing
+    v1..vk and mapping v(k+1) to it, if one exists; pruned siblings lie in
+    orbits already reached.  So by induction from the first leaf, where the
+    stabiliser is trivial, the generators found reach the stabiliser of
+    v1..vk at every k, and at k = 0 that is Aut(g).
     """
     verts = list(g.vertices)
-    _, leaves = _best_leaves(g)
-    first = [0] * len(verts)
-    for i, c in enumerate(leaves[0]):
-        first[c] = i
-    return [{v: verts[first[c]] for v, c in zip(verts, leaf)} for leaf in leaves]
+    _, gens = _search(g)
+    group = [tuple(range(len(verts)))]
+    seen = set(group)
+    for p in group:
+        for q in gens:
+            pq = tuple(q[i] for i in p)
+            if pq not in seen:
+                seen.add(pq)
+                group.append(pq)
+    return [{v: verts[i] for v, i in zip(verts, p)} for p in group]
 
 
 def _renumber(edges: list[tuple]) -> Multigraph:
@@ -254,7 +317,10 @@ def _candidates(n: int) -> list[Multigraph]:
     if n == 14:
         candidates.append(balloon_h())
     for g in candidates:
-        assert g.is_cubic() and not g.has_loops() and is_connected(g)
+        if not g.is_cubic() or g.has_loops() or not is_connected(g):
+            raise ConstructionInvariantError(
+                f"an expansion to {n} vertices is not a connected loopless cubic multigraph"
+            )
     return candidates
 
 
@@ -302,47 +368,3 @@ def cubic_corpus(max_vertices: int, simple_only: bool = False) -> list[Multigrap
         out.extend(graphs)
     return out
 
-
-def brute_force_cubic_multigraphs(n: int) -> list[Multigraph]:
-    """Independent slow enumeration for cross-checking small levels.
-
-    Fills the upper-triangular multiplicity matrix vertex by vertex under
-    the degree-3 constraint, then deduplicates.
-    """
-    pairs = list(itertools.combinations(range(n), 2))
-    out: list[Multigraph] = []
-
-    def emit(mult: dict) -> None:
-        edges = []
-        nid = 0
-        for (a, b), m in sorted(mult.items()):
-            for _ in range(m):
-                edges.append((nid, a, b))
-                nid += 1
-        g = Multigraph(range(n), edges)
-        if is_connected(g):
-            out.append(g)
-
-    def rec(idx: int, deg: list[int], mult: dict) -> None:
-        if idx == len(pairs):
-            if all(d == 3 for d in deg):
-                emit(mult)
-            return
-        a, b = pairs[idx]
-        # once the first coordinate advances, the previous vertex is closed
-        if idx > 0 and pairs[idx - 1][0] < a and deg[pairs[idx - 1][0]] != 3:
-            return
-        for m in range(0, 4):
-            if deg[a] + m > 3 or deg[b] + m > 3:
-                break
-            deg[a] += m
-            deg[b] += m
-            if m:
-                mult[(a, b)] = m
-            rec(idx + 1, deg, mult)
-            deg[a] -= m
-            deg[b] -= m
-            mult.pop((a, b), None)
-
-    rec(0, [0] * n, {})
-    return _dedupe(out)

@@ -191,7 +191,20 @@ def components(g: Multigraph) -> list[list[Vertex]]:
 
 
 def is_connected(g: Multigraph) -> bool:
-    return len(components(g)) <= 1
+    """Whether one walk from the first vertex reaches every vertex; true
+    for the empty graph."""
+    if not g.vertices:
+        return True
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for eid in g.incident_edges(v):
+            w = g.other_end(eid, v)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
 
 
 def bridges(g: Multigraph) -> set[EdgeId]:

@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import deque
+from functools import lru_cache
 from pathlib import Path
 
 import networkx as nx
@@ -12,13 +15,13 @@ from networkx.algorithms.isomorphism import GraphMatcher, numerical_edge_match
 
 from kotzigcdc import corpus
 from kotzigcdc.corpus import (
+    MAX_COMPLETE_ORDER,
     _candidates,
     _dedupe,
     automorphisms,
     balloon_flower,
     balloon_h,
     balloon_star,
-    brute_force_cubic_multigraphs,
     canonical_form,
     connected_cubic_multigraphs,
     connected_cubic_simple_graphs,
@@ -27,7 +30,7 @@ from kotzigcdc.corpus import (
     is_simple,
 )
 from kotzigcdc.catalog import theta_graph
-from kotzigcdc.errors import OracleLimitError
+from kotzigcdc.errors import ConstructionInvariantError, OracleLimitError
 from kotzigcdc.multigraph import Multigraph, is_connected
 
 
@@ -107,6 +110,118 @@ def test_canonical_form_agrees_with_vf2_up_to_8():
     copies = [relabel(g, rng) for g in graphs]
     for g, h in itertools.product(graphs, copies):
         assert (canonical_form(g) == canonical_form(h)) == are_isomorphic(g, h)
+
+
+# -- the unpruned oracle: the full individualisation-refinement tree -------
+
+
+def oracle_refine(colour: list, nbrs: list[tuple]) -> list[int]:
+    """corpus._refine without its shortcut for singleton cells."""
+    cells = len(set(colour))
+    while True:
+        keys = [
+            (c, tuple(sorted([(colour[u], m) for u, m in nb])))
+            for c, nb in zip(colour, nbrs)
+        ]
+        rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+        colour = [rank[key] for key in keys]
+        if len(rank) in (cells, len(keys)):
+            return colour
+        cells = len(rank)
+
+
+def best_leaves(g: Multigraph) -> tuple[tuple, list[list[int]]]:
+    """The form and every leaf colouring that reaches it, by walking the
+    whole search tree: the referee for the pruned search.  A leaf colouring
+    gives vertex g.vertices[i] the label colour[i] in 0..n-1."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for _, a, b in g.edges():
+        i, j = index[a], index[b]
+        adj[i][j] = adj[i].get(j, 0) + 1
+        if i != j:
+            adj[j][i] = adj[j].get(i, 0) + 1
+    nbrs = [tuple(d.items()) for d in adj]
+    edges = [(i, j, m) for i, d in enumerate(adj) for j, m in d.items() if i <= j]
+
+    def start_key(v: int) -> tuple:
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        profile = [0] * (max(dist.values()) + 1)
+        for d in dist.values():
+            profile[d] += 1
+        return tuple(profile), tuple(sorted(adj[v].values()))
+
+    best = None
+    leaves: list[list[int]] = []
+
+    def search(colour: list) -> None:
+        nonlocal best, leaves
+        colour = oracle_refine(colour, nbrs)
+        if len(set(colour)) == n:
+            leaf = sorted([
+                (colour[i], colour[j], m) if colour[i] < colour[j] else (colour[j], colour[i], m)
+                for i, j, m in edges
+            ])
+            if best is None or leaf < best:
+                best, leaves = leaf, [colour]
+            elif leaf == best:
+                leaves.append(colour)
+            return
+        size: dict[int, int] = {}
+        for c in colour:
+            size[c] = size.get(c, 0) + 1
+        cell = min((k, c) for c, k in size.items() if k > 1)[1]
+        for v in range(n):
+            if colour[v] == cell:
+                search([2 * c + (u != v) for u, c in enumerate(colour)])
+
+    search([start_key(v) for v in range(n)])
+    return (n, tuple(best)), leaves
+
+
+def oracle_automorphisms(g: Multigraph) -> list[dict]:
+    """leaf o first^-1 over the best leaves: each automorphism once, the
+    identity first."""
+    verts = list(g.vertices)
+    _, leaves = best_leaves(g)
+    first = [0] * len(verts)
+    for i, c in enumerate(leaves[0]):
+        first[c] = i
+    return [{v: verts[first[c]] for v, c in zip(verts, leaf)} for leaf in leaves]
+
+
+def test_pruned_search_matches_the_unpruned_tree():
+    """The same form and the same group, identity first and no repeats, on
+    every candidate up to 10 vertices."""
+    for n in range(4, 11, 2):
+        for g in _candidates(n):
+            assert canonical_form(g) == best_leaves(g)[0]
+            group = [tuple(sorted(sigma.items())) for sigma in automorphisms(g)]
+            oracle = [tuple(sorted(sigma.items())) for sigma in oracle_automorphisms(g)]
+            assert group[0] == oracle[0] == tuple((v, v) for v in sorted(g.vertices))
+            assert len(set(group)) == len(group)
+            assert sorted(group) == sorted(oracle)
+
+
+def test_pruning_cuts_the_search(monkeypatch):
+    """A cold cubic_corpus(10) refines 5,755 times on the whole tree, 3,742
+    times with the back-jumps alone, 3,298 with the orbit pruning alone and
+    3,208 with both; the bound fails without either."""
+    calls = []
+    real = corpus._refine
+    monkeypatch.setattr(corpus, "_refine", lambda colour, nbrs: calls.append(1) or real(colour, nbrs))
+    cold = lru_cache(maxsize=None)(corpus.connected_cubic_multigraphs.__wrapped__)
+    monkeypatch.setattr(corpus, "connected_cubic_multigraphs", cold)
+    assert len(cubic_corpus(10)) == 120
+    assert len(calls) <= 3250
 
 
 def all_expansions(n: int) -> list[Multigraph]:
@@ -198,6 +313,117 @@ def test_known_simple_counts():
     assert len(connected_cubic_simple_graphs(14)) == 509
 
 
+def labelled_cubic_multigraphs(n: int) -> list[Multigraph]:
+    """Every connected loopless cubic multigraph on the vertices 0..n-1,
+    each multiplicity matrix once.
+
+    Fills the upper-triangular multiplicity matrix vertex by vertex under
+    the degree-3 constraint.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    out: list[Multigraph] = []
+
+    def emit(mult: dict) -> None:
+        edges = []
+        nid = 0
+        for (a, b), m in sorted(mult.items()):
+            for _ in range(m):
+                edges.append((nid, a, b))
+                nid += 1
+        g = Multigraph(range(n), edges)
+        if is_connected(g):
+            out.append(g)
+
+    def rec(idx: int, deg: list[int], mult: dict) -> None:
+        if idx == len(pairs):
+            if all(d == 3 for d in deg):
+                emit(mult)
+            return
+        a, b = pairs[idx]
+        # once the first coordinate advances, the previous vertex is closed
+        if idx > 0 and pairs[idx - 1][0] < a and deg[pairs[idx - 1][0]] != 3:
+            return
+        for m in range(0, 4):
+            if deg[a] + m > 3 or deg[b] + m > 3:
+                break
+            deg[a] += m
+            deg[b] += m
+            if m:
+                mult[(a, b)] = m
+            rec(idx + 1, deg, mult)
+            deg[a] -= m
+            deg[b] -= m
+            mult.pop((a, b), None)
+
+    rec(0, [0] * n, {})
+    return out
+
+
+def brute_force_cubic_multigraphs(n: int) -> list[Multigraph]:
+    """Independent slow enumeration for cross-checking small levels."""
+    return _dedupe(labelled_cubic_multigraphs(n))
+
+
+def _splits(caps: tuple, d: int):
+    """Every way to hand d edge ends to vertices with these free degrees."""
+    if not caps:
+        if d == 0:
+            yield ()
+        return
+    for m in range(min(caps[0], d) + 1):
+        for rest in _splits(caps[1:], d - m):
+            yield (m, *rest)
+
+
+@lru_cache(maxsize=None)
+def labelled_with_degrees(degrees: tuple) -> int:
+    """Loopless multigraphs on labelled vertices with these degrees (a
+    sorted tuple without zeros): take out the vertex of largest degree and
+    split its degree over the others; the count depends on the multiset
+    only."""
+    if not degrees:
+        return 1
+    *rest, d = degrees
+    return sum(
+        labelled_with_degrees(tuple(sorted(k - m for k, m in zip(rest, split) if k > m)))
+        for split in _splits(tuple(rest), d)
+    )
+
+
+def labelled_connected_cubic(n: int) -> int:
+    """Connected loopless cubic multigraphs on n labelled vertices, by the
+    exponential formula: split off the component of the first vertex."""
+    total = [labelled_with_degrees((3,) * k) for k in range(n + 1)]
+    connected = [0] * (n + 1)
+    for k in range(1, n + 1):
+        connected[k] = total[k] - sum(
+            math.comb(k - 1, j - 1) * connected[j] * total[k - j] for j in range(1, k)
+        )
+    return connected[n]
+
+
+def test_labelled_counts():
+    assert [labelled_connected_cubic(n) for n in range(2, 15, 2)] == [
+        1, 7, 640, 168_840, 94_008_600, 95_054_374_800, 158_076_360_842_400,
+    ]
+    assert labelled_connected_cubic(3) == labelled_connected_cubic(5) == 0
+    for n in (2, 4, 6):
+        assert len(labelled_cubic_multigraphs(n)) == labelled_connected_cubic(n)
+
+
+def test_mass_formula():
+    """Orbit-stabilizer: the classes on n vertices, each counted n!/|Aut|
+    times, are the labelled graphs.  A missing class or a wrong group size
+    breaks the sum."""
+    for n in range(2, MAX_COMPLETE_ORDER + 1, 2):
+        mass = 0
+        for g in connected_cubic_multigraphs(n):
+            order = len(automorphisms(g))
+            assert math.factorial(n) % order == 0
+            mass += math.factorial(n) // order
+        assert mass == labelled_connected_cubic(n), n
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_expansion_matches_bruteforce(n):
     brute = brute_force_cubic_multigraphs(n)
@@ -226,6 +452,16 @@ def test_all_generated_are_cubic_connected_loopless():
         assert g.is_cubic()
         assert not g.has_loops()
         assert is_connected(g)
+
+
+def test_a_bad_expansion_raises(monkeypatch):
+    """The check on every candidate is a raise, so it runs under python -O."""
+    connected_cubic_multigraphs(4)
+    two_thetas = Multigraph(range(4), [(i, i // 3 * 2, i // 3 * 2 + 1) for i in range(6)])
+    assert two_thetas.is_cubic() and not is_connected(two_thetas)
+    monkeypatch.setattr(corpus, "insert_edge_pair", lambda g, e1, e2: two_thetas)
+    with pytest.raises(ConstructionInvariantError, match="6 vertices"):
+        _candidates(6)
 
 
 def test_insert_edge_pair_same_edge_gives_digon():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kotzigcdc.catalog import cycle_graph, path_graph, theta_graph, theta_subdivision, k4
+from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import GraphFormatError
 from kotzigcdc.multigraph import (
     Multigraph,
@@ -9,6 +10,7 @@ from kotzigcdc.multigraph import (
     components,
     contract_edges,
     is_bipartite,
+    is_connected,
     is_eulerian,
     spanning_forest,
     suppress_degree2,
@@ -180,6 +182,16 @@ def test_eulerian_and_components():
                    + [(3 + i, 3 + i, 3 + (i + 1) % 3) for i in range(3)])
     assert is_eulerian(g)
     assert len(components(g)) == 2
+
+
+def test_is_connected_is_one_component():
+    two = Multigraph(range(6), [(i, i, (i + 1) % 3) for i in range(3)]
+                     + [(3 + i, 3 + i, 3 + (i + 1) % 3) for i in range(3)])
+    looped = Multigraph(range(3), [(0, 0, 0), (1, 0, 1), (2, 2, 2)])
+    graphs = [*cubic_corpus(10), Multigraph([], []), Multigraph([7], []), two, looped]
+    for g in graphs:
+        assert is_connected(g) == (len(components(g)) <= 1)
+    assert not is_connected(two) and not is_connected(looped)
 
 
 def test_not_eulerian_path():
