@@ -8,7 +8,6 @@ from .multigraph import (
     is_bipartite,
     is_connected,
     is_eulerian,
-    spanning_forest,
     suppress_degree2,
 )
 from .kotzig import (
@@ -20,13 +19,9 @@ from .kotzig import (
     is_kotzig_coloring,
 )
 from .frame import (
-    ContractedFrame,
     Frame,
     PerfectColoring,
     Witness,
-    build_colored_contraction,
-    check_frame_sufficiency,
-    contract_frame,
     find_well_connected_frame_coloring,
     is_perfect_coloring,
     search_frames,
@@ -49,8 +44,6 @@ from .switching import (
     BLUE,
     RED,
     acyclic_t_join,
-    apply_switch,
-    apply_switch_sequence,
     resolve_two_row,
     switchable_to_blue,
 )

@@ -40,6 +40,7 @@ from .rowgraph import (
     amiable_violations,
     build_row_graph,
     is_amiable,
+    row_components,
     row_contract,
     solve_gf2,
 )
@@ -184,7 +185,7 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> AmiableColoring:
 
 def _multi_components(r: RowGraph, row: int) -> list[list]:
     """The components of one row's subgraph with more than one vertex."""
-    return [c for c in components(r.row_subgraph(row)) if len(c) >= 2]
+    return [c for c in row_components(r) if c[0][0] == row and len(c) >= 2]
 
 
 def _column_is_dormant(r: RowGraph, j: int) -> bool:
@@ -473,26 +474,6 @@ class ParityColoring:
         )
 
 
-def _row_components(r: RowGraph) -> list[list]:
-    """The components of rows 1, 2 and 3, each row's subgraph taken with
-    all s of its vertices, so an isolated vertex is a component of its
-    own: one union-find pass over the edges inside a row."""
-    parent = {(i, j): (i, j) for j in range(1, r.s + 1) for i in (1, 2, 3)}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for e in r.edges:
-        if e.a[0] == e.b[0]:
-            parent[root(e.a)] = root(e.b)
-    comps: dict = {}
-    for v in parent:
-        comps.setdefault(root(v), []).append(v)
-    return list(comps.values())
-
-
 def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
     """Per column: must phi agree on rows (1,2) and on rows (2,3)?
 
@@ -530,7 +511,7 @@ def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None
         same23 = ((2, j) in phi.black) == ((3, j) in phi.black)
         if same23 != rel23[j - 1]:
             return False
-    for comp in _row_components(r):
+    for comp in row_components(r):
         if sum(1 for v in comp if v in phi.black) % 2 != 0:
             return False
     return True
@@ -554,7 +535,7 @@ def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
         flip[(3, j)] = flip[(2, j)] ^ int(not rel23[j - 1])
     rhs = 1 << r.s
     equations = []
-    for comp in _row_components(r):
+    for comp in row_components(r):
         row = 0
         for v in comp:
             row ^= 1 << (v[1] - 1) | rhs * flip[v]

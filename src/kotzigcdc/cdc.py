@@ -227,18 +227,17 @@ def construct_6cdc(
 ) -> CdcCertificate:
     """Assemble a 6-class cycle double cover from an amiable coloring of
     the row graph of (g, f, coloring).  The caller verifies it (verify_cdc),
-    as run_pipeline does."""
+    as run_pipeline does.
+
+    After fold_vertex_coloring the edge coloring amiable.g is amiable, with
+    the identity vertex coloring, on the row graph of the folded coloring:
+    the fold renames the rows of each column as amiable.f does.
+    """
     trace = trace or ConstructionTrace()
-    r = build_row_graph(g, f, coloring)
-    if not is_amiable(r, amiable):
+    if not is_amiable(build_row_graph(g, f, coloring), amiable):
         raise HypothesisError("coloring is not amiable for this row graph")
 
     folded = fold_vertex_coloring(f, coloring, amiable)
-    r2 = build_row_graph(g, f, folded)
-    identity = {(i, j): i for j in range(1, f.s + 1) for i in (1, 2, 3)}
-    normalized = AmiableColoring(f=identity, g=dict(amiable.g))
-    if not is_amiable(r2, normalized):
-        raise ConstructionInvariantError("folding the vertex coloring broke amiability")
 
     # per color: the frame edges of other colors, and the free edges and
     # chords of this color
@@ -248,7 +247,7 @@ def construct_6cdc(
         for color in (1, 2, 3)
     }
     free_parts = {
-        color: frozenset(eid for eid in f.free_edges() if normalized.g[eid] == color)
+        color: frozenset(eid for eid in f.free_edges() if amiable.g[eid] == color)
         for color in (1, 2, 3)
     }
     trace.record(

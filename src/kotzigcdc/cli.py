@@ -107,18 +107,14 @@ def run_pipeline(
             report.stages.append("cdc_verified")
             report.outcome = "verified"
             report.frame = frame_to_json(frame2)
+            # a K-component whose every base edge is one frame edge has no
+            # 2-valent vertex: a degenerate subdivision, worth surfacing
             degenerate = [
                 c.label
                 for c in frame2.components
-                if c.kind == "K"
-                and all(
-                    sum(1 for e in g.incident_edges(v) if e in frame2.frame_edges) == 3
-                    for v in c.vertices
-                )
+                if c.kind == "K" and len(c.edge_ids) == len(c.classification.path_map)
             ]
             if degenerate:
-                # a K-component with no 2-valent vertices is accepted as a
-                # degenerate subdivision; worth surfacing for audits
                 report.frame["degenerate_k_components"] = degenerate
             report.certificate = certificate.to_json()
             if collect_trace:
@@ -305,7 +301,14 @@ def _seconds_by_outcome(reports) -> dict:
 
 
 def cmd_corpus(args) -> int:
-    jobs = args.jobs or int(os.environ.get(JOBS_ENV, "1"))
+    raw_jobs = args.jobs if args.jobs is not None else os.environ.get(JOBS_ENV, "1")
+    try:
+        jobs = int(raw_jobs)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        print(f"input error: worker count {raw_jobs!r} is not a positive integer", file=sys.stderr)
+        return EXIT_INPUT
     strategy = args.frame_strategy.replace("-", "_")
     tasks = []
     unreadable = []  # a file that does not load is one input_error instance
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate all connected cubic multigraphs up to this order")
     p.add_argument("--frame-strategy", choices=["two-factor", "exhaustive"],
                    default="two-factor")
-    p.add_argument("--jobs", type=int, default=None, help=f"workers (default ${JOBS_ENV} or 1)")
+    p.add_argument("--jobs", default=None, help=f"workers (default ${JOBS_ENV} or 1)")
     p.add_argument("--report", help="write the aggregate report JSON here")
     p.set_defaults(func=cmd_corpus)
     return parser

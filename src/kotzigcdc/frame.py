@@ -1,10 +1,13 @@
-"""Kotzig frames: validation, contraction, perfect colorings and search.
+"""Kotzig frames: validation, perfect colorings, witnesses and search.
 
 A frame of a cubic graph is a spanning subgraph whose components are even
 cycles ("C") or even subdivisions of Kotzig graphs ("K").  Chords are the
-non-frame edges that stay inside one component.  Contracting every
-component and dropping loops yields an eulerian multigraph whose edges keep
-their host ids.
+non-frame edges that stay inside one component; the other non-frame edges
+are free.  Contracting every component to its label leaves the free edges
+as an eulerian multigraph.  Under a perfect coloring that contraction is
+the row graph (rowgraph.build_row_graph): each free edge sits at (color,
+label) at both ends, and the edges of color class c are those inside row
+c.  The well-connected witness is read off its rows.
 """
 
 from __future__ import annotations
@@ -27,13 +30,12 @@ from .multigraph import (
     EdgeId,
     Multigraph,
     Vertex,
-    VertexMap,
     _rooted_forest,
     bridges,
     components,
-    is_eulerian,
     sorted_edge_ids,
 )
+from .rowgraph import build_row_graph, row_components
 
 C_KIND = "C"
 K_KIND = "K"
@@ -99,27 +101,10 @@ class PerfectColoring:
 
 
 @dataclass(frozen=True)
-class ContractedFrame:
-    """One vertex per frame component (named by its label); edges are the
-    host edges joining different components, keeping their ids."""
-
-    graph: Multigraph
-    vertex_kind: dict  # label -> C_KIND | K_KIND
-    vertex_map: VertexMap  # host vertex -> label
-
-
-@dataclass(frozen=True)
-class ColoredContraction:
-    contracted: ContractedFrame
-    edge_color: dict  # partial: host edge id -> color
-
-
-@dataclass(frozen=True)
 class Witness:
-    """A color and a monochromatic connected piece of the colored
-    contraction containing every K-vertex: the whole piece of that color
-    when there is a K-vertex, and one vertex, with color 1, when there is
-    none."""
+    """A color c and the labels of a connected piece of row c of the row
+    graph containing every K-vertex: the whole piece when there is a
+    K-vertex, and one vertex, with color 1, when there is none."""
 
     color: int
     h_labels: frozenset
@@ -196,21 +181,6 @@ def validate_frame(
     return frame
 
 
-def contract_frame(f: Frame) -> ContractedFrame:
-    """One vertex per component; loops (chords) are dropped.  The result is
-    always eulerian because components have even order."""
-    label_of = f.label_of
-    edges = []
-    for eid, a, b in f.host.edges():
-        if eid in f.frame_edges or eid in f.chords:
-            continue
-        edges.append((eid, label_of[a], label_of[b]))
-    graph = Multigraph([c.label for c in f.components], edges)
-    assert is_eulerian(graph), "frame contraction must be eulerian"
-    kinds = {c.label: c.kind for c in f.components}
-    return ContractedFrame(graph=graph, vertex_kind=kinds, vertex_map=VertexMap(label_of))
-
-
 def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
     """Frame-level perfect coloring test: each K-component lifts a Kotzig
     coloring of its base, each C-component is monochromatic."""
@@ -222,40 +192,28 @@ def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
     return True
 
 
-def build_colored_contraction(f: Frame, coloring: PerfectColoring) -> ColoredContraction:
-    """Color each contraction edge whose two host endpoints agree."""
-    if not is_perfect_coloring(f, coloring):
-        raise FrameError("coloring is not perfect for this frame")
-    cf = contract_frame(f)
-    edge_color = {}
-    for eid, _, _ in cf.graph.edges():
-        a, b = f.host.endpoints(eid)
-        ca = coloring.vertex_color.get(a)
-        cb = coloring.vertex_color.get(b)
-        if ca is not None and ca == cb:
-            edge_color[eid] = ca
-    return ColoredContraction(contracted=cf, edge_color=edge_color)
-
-
 def well_connected_witness(f: Frame, coloring: PerfectColoring) -> Witness | None:
     """The first color (1, 2, 3) whose edge class joins all K-vertices into
     one connected piece, together with that whole piece.
 
-    With one K-vertex color 1 always works.  With no K-vertex the test is
-    trivially satisfied: the witness is color 1 with the one-vertex piece
-    of the least label, not the maximal piece.
+    The pieces of color c are the components of row c of the row graph
+    (see build_row_graph).  With one K-vertex color 1 always works.  With
+    no K-vertex the test is trivially satisfied: the witness is color 1
+    with the one-vertex piece of the least label, not the maximal piece.
     """
     k_labels = f.k_labels()
     if len(k_labels) == 0:
         anchor = min(c.label for c in f.components)
         return Witness(color=1, h_labels=frozenset([anchor]))
-    cc = build_colored_contraction(f, coloring)
-    graph = cc.contracted.graph
+    if not is_perfect_coloring(f, coloring):
+        raise FrameError("coloring is not perfect for this frame")
+    pieces = row_components(build_row_graph(f.host, f, coloring))
     for color in (1, 2, 3):
-        eids = [e for e, c in cc.edge_color.items() if c == color]
-        for comp in components(graph.subgraph_of_edges(eids, keep_vertices=graph.vertices)):
-            if all(k in comp for k in k_labels):
-                return Witness(color=color, h_labels=frozenset(comp))
+        for piece in pieces:
+            if piece[0][0] == color:
+                labels = frozenset(j for _, j in piece)
+                if labels.issuperset(k_labels):
+                    return Witness(color=color, h_labels=labels)
     return None
 
 
@@ -303,65 +261,6 @@ def find_well_connected_frame_coloring(f: Frame) -> tuple[PerfectColoring, Witne
         if witness is not None:
             return coloring, witness
     return None
-
-
-# -- sufficient conditions on the contraction --------------------------------
-
-
-@dataclass(frozen=True)
-class FrameSufficiency:
-    """Three independently checkable conditions on the contracted frame,
-    each of which guarantees a well-connected coloring exists."""
-
-    k_independent_rest_connected: bool
-    k_near_c_rest_connected: bool
-    c_backbone_dominates_k: bool
-
-
-def check_frame_sufficiency(cf: ContractedFrame) -> FrameSufficiency:
-    g = cf.graph
-    k_set = {v for v in g.vertices if cf.vertex_kind[v] == K_KIND}
-    c_set = {v for v in g.vertices if cf.vertex_kind[v] == C_KIND}
-
-    k_independent = not any(
-        not g.is_loop(e) and all(x in k_set for x in g.endpoints(e)) for e in g.edge_ids
-    )
-    rest_edges = [
-        e
-        for e in g.edge_ids
-        if all(x not in k_set for x in g.endpoints(e))
-    ]
-    rest = g.subgraph_of_edges(rest_edges, keep_vertices=[v for v in g.vertices if v not in k_set])
-    rest_connected = len(components(rest)) <= 1
-
-    every_k_near_c = all(
-        any(cf.vertex_kind[g.other_end(e, k)] == C_KIND for e in g.incident_edges(k) if not g.is_loop(e))
-        for k in k_set
-    )
-
-    c_sub = g.subgraph_of_edges(
-        [e for e in g.edge_ids if all(x in c_set for x in g.endpoints(e))],
-        keep_vertices=sorted(c_set, key=repr),
-    )
-    backbone = False
-    if not k_set:
-        backbone = True
-    else:
-        for comp in components(c_sub):
-            comp_set = set(comp)
-            neighborhood = set()
-            for v in comp_set:
-                for e in g.incident_edges(v):
-                    neighborhood.add(g.other_end(e, v))
-            if k_set <= neighborhood:
-                backbone = True
-                break
-
-    return FrameSufficiency(
-        k_independent_rest_connected=k_independent and rest_connected,
-        k_near_c_rest_connected=every_k_near_c and rest_connected,
-        c_backbone_dominates_k=backbone,
-    )
 
 
 # -- frame search -------------------------------------------------------------

@@ -275,22 +275,14 @@ def is_bipartite(g: Multigraph) -> dict[Vertex, int] | None:
     return color
 
 
-def spanning_forest(g: Multigraph) -> set[EdgeId]:
-    """A maximal acyclic edge set (one spanning tree per component)."""
-    _, _, tree_edges = _rooted_forest(g)
-    return set(tree_edges)
-
-
 def _rooted_forest(g: Multigraph):
     """BFS forest rooted at the smallest vertex of each component.
 
-    Returns (parent vertex map, parent edge map, tree edge list); roots map
-    to None.  Deterministic: vertices and incident edges visited in sorted
-    order.
+    Returns (parent vertex map, parent edge map); roots map to None.
+    Deterministic: vertices and incident edges visited in sorted order.
     """
     parent: dict[Vertex, Vertex | None] = {}
     parent_edge: dict[Vertex, EdgeId | None] = {}
-    tree_edges: list[EdgeId] = []
     for start in sorted_vertices(g):
         if start in parent:
             continue
@@ -304,9 +296,8 @@ def _rooted_forest(g: Multigraph):
                 if w not in parent:
                     parent[w] = v
                     parent_edge[w] = eid
-                    tree_edges.append(eid)
                     queue.append(w)
-    return parent, parent_edge, tree_edges
+    return parent, parent_edge
 
 
 # -- contraction ------------------------------------------------------------

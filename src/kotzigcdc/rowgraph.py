@@ -108,12 +108,36 @@ def row_contract(r: RowGraph) -> Multigraph:
     )
 
 
+def row_components(r: RowGraph) -> list[list[GridVertex]]:
+    """The components of every row's subgraph, each taken with all s of
+    its vertices, so an isolated vertex is a component of its own: one
+    union-find pass over the edges inside a row."""
+    parent = {v: v for v in r.vertices()}
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for e in r.edges:
+        if e.a[0] == e.b[0]:
+            parent[root(e.a)] = root(e.b)
+    comps: dict = {}
+    for v in parent:
+        comps.setdefault(root(v), []).append(v)
+    return list(comps.values())
+
+
 def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
     """Row graph of a host graph, frame and perfect coloring.
 
     Every non-frame non-chord edge of the host becomes one grid edge: each
     endpoint is a 2-valent frame vertex and lands in (its color, its
     component label).  Edges keep the host edge id as id and origin.
+
+    This is the colored contraction of the frame, split by color: a free
+    edge whose ends share color c is an edge inside row c, so the pieces
+    of color class c are the components of row c.
     """
     label_of = frame.label_of
     edges = []

@@ -27,25 +27,6 @@ RED = "red"
 BLUE = "blue"
 
 # A TwoColoring is a plain dict edge-id -> RED | BLUE, total on the edge set.
-# A SwitchSequence is a list of vertex ids; only parities matter.
-
-
-def apply_switch(g: Multigraph, coloring: dict, v: Vertex) -> dict:
-    """Flip non-loop edges at v; loops keep their color."""
-    if not g.has_vertex(v):
-        raise HypothesisError(f"unknown vertex {v!r}")
-    out = dict(coloring)
-    for eid in g.incident_edges(v):
-        if g.is_loop(eid):
-            continue
-        out[eid] = BLUE if out[eid] == RED else RED
-    return out
-
-
-def apply_switch_sequence(g: Multigraph, coloring: dict, seq: Iterable[Vertex]) -> dict:
-    for v in seq:
-        coloring = apply_switch(g, coloring, v)
-    return coloring
 
 
 def switchable_to_blue(g: Multigraph, coloring: dict) -> list[Vertex] | None:
@@ -62,10 +43,6 @@ def switchable_to_blue(g: Multigraph, coloring: dict) -> list[Vertex] | None:
         return None
     switches = [v for v in sorted_vertices(g) if sides[vmap[v]] == 1]
     return switches
-
-
-def is_all_blue(coloring: dict) -> bool:
-    return all(c == BLUE for c in coloring.values())
 
 
 def resolve_two_row(r2: RowGraph) -> set[int]:
@@ -110,7 +87,7 @@ def acyclic_t_join(g: Multigraph, t: Iterable[Vertex]) -> set[EdgeId]:
             raise HypothesisError(
                 f"component containing {comp[0]!r} holds an odd number of t-vertices"
             )
-    parent, parent_edge, _ = _rooted_forest(g)
+    parent, parent_edge = _rooted_forest(g)
     depth: dict[Vertex, int] = {}
 
     def depth_of(v: Vertex) -> int:
@@ -141,9 +118,3 @@ def acyclic_t_join(g: Multigraph, t: Iterable[Vertex]) -> set[EdgeId]:
             chosen.add(parent_edge[v])
             need[parent[v]] = not need[parent[v]]
     return chosen
-
-
-def t_join_degrees_ok(g: Multigraph, t: Iterable[Vertex], edges: set[EdgeId]) -> bool:
-    t = set(t)
-    sub = g.subgraph_of_edges(edges, keep_vertices=g.vertices)
-    return all((sub.degree(v) % 2 == 1) == (v in t) for v in g.vertices)

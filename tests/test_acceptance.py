@@ -38,16 +38,9 @@ from kotzigcdc.rowgraph import (
     row_graph_from_json,
     row_graph_to_json,
 )
-from kotzigcdc.switching import (
-    BLUE,
-    RED,
-    acyclic_t_join,
-    apply_switch_sequence,
-    is_all_blue,
-    switchable_to_blue,
-    t_join_degrees_ok,
-)
+from kotzigcdc.switching import BLUE, RED, acyclic_t_join, switchable_to_blue
 from tests.test_amiable import has_parity_coloring_bruteforce
+from tests.test_switching import apply_switch_sequence, is_all_blue, t_join_degrees_ok
 
 
 def test_criterion_1_corpus_end_to_end():

@@ -11,7 +11,6 @@ from kotzigcdc.amiable import (
     ConstructionTrace,
     ParityColoring,
     _pair_relations,
-    _row_components,
     amiable_to_parity,
     construct_amiable_concentrated_row,
     construct_amiable_main,
@@ -27,7 +26,6 @@ from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import ConstructionInvariantError, HypothesisError, OracleLimitError
 from kotzigcdc.frame import (
     PerfectColoring,
-    build_colored_contraction,
     enumerate_frame_colorings,
     find_well_connected_frame_coloring,
     search_frames,
@@ -43,10 +41,12 @@ from kotzigcdc.rowgraph import (
     enumerate_row_graphs,
     extend_to_amiable,
     is_amiable,
+    row_components,
     row_contract,
 )
 from kotzigcdc.switching import acyclic_t_join
 from tests.test_cdc import planted_host, planted_multi_k_hosts
+from tests.test_frame import build_colored_contraction, referee_witness
 from tests.test_rowgraph import edge_signature
 
 
@@ -295,7 +295,7 @@ def test_row_components_are_the_row_subgraph_components():
         insts.append(RowGraph(s, edges))
     for r in insts:
         expected = {frozenset(c) for i in (1, 2, 3) for c in components(r.row_subgraph(i))}
-        found = [frozenset(c) for c in _row_components(r)]
+        found = [frozenset(c) for c in row_components(r)]
         assert len(found) == len(expected) and set(found) == expected
 
 
@@ -827,18 +827,38 @@ def _witnessed_colorings(frame, limit=None):
             yield coloring, witness
 
 
-def _referee_cases():
+def _referee_frames():
+    """(frame, how many of its colorings to take, None for all): every
+    exhaustive frame of the corpus up to 8 vertices, and seeded frames with
+    two to four K4 subdivisions."""
     for g in cubic_corpus(8):
         for frame in search_frames(g, "exhaustive"):
-            yield from ((frame, *found) for found in _witnessed_colorings(frame))
+            yield frame, None
     for g, frame_edges in planted_multi_k_hosts(range(20)):
-        frame = validate_frame(g, frame_edges)
-        yield from ((frame, *found) for found in _witnessed_colorings(frame, limit=200))
+        yield validate_frame(g, frame_edges), 200
     rng = random.Random(4)
     for _ in range(4):
         g, frame_edges = planted_host(64 + rng.choice((0, 4, 8)), rng, 4)
-        frame = validate_frame(g, frame_edges)
-        yield from ((frame, *found) for found in _witnessed_colorings(frame, limit=200))
+        yield validate_frame(g, frame_edges), 200
+
+
+def _referee_cases():
+    for frame, limit in _referee_frames():
+        yield from ((frame, *found) for found in _witnessed_colorings(frame, limit))
+
+
+def test_witness_matches_the_contraction_referee():
+    """The witness read off the rows of the row graph is the one the
+    separately built colored contraction gives, color and piece, on every
+    coloring taken from the referee frames, those with no witness too."""
+    with_witness = without = 0
+    for frame, limit in _referee_frames():
+        for coloring in itertools.islice(enumerate_frame_colorings(frame), limit):
+            witness = well_connected_witness(frame, coloring)
+            assert witness == referee_witness(frame, coloring)
+            with_witness += witness is not None
+            without += witness is None
+    assert with_witness > 2000 and without > 500, (with_witness, without)
 
 
 def test_grown_piece_matches_the_restart_loop():

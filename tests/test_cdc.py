@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kotzigcdc import cdc
-from kotzigcdc.amiable import amiable_coloring_for_frame
+from kotzigcdc.amiable import amiable_coloring_for_frame, identity_f
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, path_graph, petersen, prism, theta_graph
 from kotzigcdc.cdc import (
     CdcCertificate,
@@ -28,18 +28,24 @@ from kotzigcdc.multigraph import (
     sorted_edge_ids,
     sorted_vertices,
 )
+from kotzigcdc.rowgraph import AmiableColoring, build_row_graph, is_amiable
 from tests.test_frame import monochromatic_coloring
 
 
-def run_full(g, strategy="two_factor", frame_edges=None):
+def first_amiable(g, strategy="two_factor", frame_edges=None):
+    """amiable_coloring_for_frame on the first frame with a witness, as
+    run_pipeline takes it, or None."""
     for frame in search_frames(g, strategy, frame_edges=frame_edges):
         found = find_well_connected_frame_coloring(frame)
-        if found is None:
-            continue
-        coloring, witness = found
-        f2, col2, amiable, trace = amiable_coloring_for_frame(g, frame, coloring, witness)
-        return construct_6cdc(g, f2, col2, amiable, trace)
-    raise AssertionError("no frame/witness found")
+        if found is not None:
+            return amiable_coloring_for_frame(g, frame, *found)
+    return None
+
+
+def run_full(g, strategy="two_factor", frame_edges=None):
+    built = first_amiable(g, strategy, frame_edges)
+    assert built is not None, "no frame/witness found"
+    return construct_6cdc(g, *built)
 
 
 # -- chord partition ---------------------------------------------------------------
@@ -539,3 +545,25 @@ def test_pipeline_on_frames_with_several_k_components():
                 fired[step["step"]] += 1
     assert verified > 0
     assert all(fired.values()), fired
+
+
+def test_folding_the_vertex_coloring_keeps_amiability():
+    """construct_6cdc reads each free edge's class off amiable.g on the row
+    graph of the folded coloring, with no second check: the fold renames
+    the rows of each column as amiable.f does, so amiable.g stays amiable
+    there under the identity vertex coloring.  Checked on every bridgeless
+    graph up to 10 vertices (two_factor, then exhaustive, as the corpus
+    command runs them) and on seeded frames with several K4 subdivisions."""
+    built = []
+    for g in cubic_corpus(10):
+        found = first_amiable(g) or first_amiable(g, "exhaustive")
+        if found is not None:
+            built.append((g, found))
+    for g, frame_edges in planted_multi_k_hosts(range(20)):
+        found = first_amiable(g, "user_supplied", frame_edges)
+        if found is not None:
+            built.append((g, found))
+    for g, (f2, col2, amiable, _) in built:
+        r2 = build_row_graph(g, f2, cdc.fold_vertex_coloring(f2, col2, amiable))
+        assert is_amiable(r2, AmiableColoring(f=identity_f(r2), g=amiable.g))
+    assert len(built) == 90 + 20

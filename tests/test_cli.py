@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from kotzigcdc.catalog import cycle_graph, k4, petersen, prism, theta_graph
 from kotzigcdc import cli
 from kotzigcdc.cli import RunReport, main, run_pipeline
+from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.io import graph_to_json, save_graph_json
+from tests.test_cdc import planted_multi_k_hosts
 
 
 @pytest.fixture
@@ -355,6 +358,23 @@ def test_corpus_refuses_orders_past_the_checked_counts(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [("abc", []), ("0", []), (None, ["--jobs", "-1"])],
+    ids=["env-abc", "env-0", "jobs-minus-1"],
+)
+def test_corpus_refuses_a_bad_worker_count(monkeypatch, capsys, env, argv):
+    """A worker count that is not an integer of at least 1 ends the command
+    with one input error line before any graph is generated or run."""
+    if env is None:
+        monkeypatch.delenv(cli.JOBS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.JOBS_ENV, env)
+    monkeypatch.setattr(cli, "cubic_corpus", lambda *a, **k: pytest.fail("corpus generated"))
+    assert main(["corpus", "--max-vertices", "4", *argv]) == 3
+    assert "worker count" in assert_one_input_error_line(capsys)
+
+
 @pytest.mark.parametrize("retry_outcome", ["verified", "no_frame"])
 def test_corpus_worker_reports_both_attempts(monkeypatch, retry_outcome):
     seconds = {"two_factor": 0.25, "exhaustive": 0.5}
@@ -425,3 +445,38 @@ def test_run_pipeline_reports_a_certificate_that_fails_verification(monkeypatch)
     assert report.outcome == "invariant_error"
     assert report.certificate is None
     assert re.search(r"edge \d+ is covered 1 times, expected 2", report.error)
+
+
+def test_degenerate_k_components_reported():
+    """A K-component with no 2-valent vertex is listed in the frame JSON:
+    K4 as its own frame; Petersen's exhaustive frame subdivides, so no key."""
+    g = k4()
+    report = run_pipeline(g, strategy="user_supplied", frame_edges=g.edge_ids)
+    assert report.outcome == "verified"
+    assert report.frame["degenerate_k_components"] == [1]
+    report = run_pipeline(petersen(), strategy="exhaustive")
+    assert report.outcome == "verified"
+    assert "degenerate_k_components" not in report.frame
+
+
+# sha256 of the reports of test_golden_reports, without their seconds.  It
+# pins every outcome, frame, certificate and trace; a change meant to alter
+# them must give the new digest and say why.
+GOLDEN_REPORTS_SHA256 = "c66c02a35c86c4dd46f4171c4395defdc3024826f0557c56b387d206822e3100"
+
+
+def test_golden_reports():
+    """The corpus up to 8 vertices under the corpus command's policy, and
+    seeded frames with two or three K4 subdivisions with their traces,
+    report exactly what they reported when the digest was pinned."""
+    reports = [
+        cli._corpus_worker((f"cubic_{g.num_vertices()}v_{idx}", graph_to_json(g), "two_factor"))
+        for idx, g in enumerate(cubic_corpus(8))
+    ]
+    reports += [
+        run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges, collect_trace=True)
+        for g, frame_edges in planted_multi_k_hosts(range(10))
+    ]
+    payload = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256

@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
@@ -12,10 +13,9 @@ from kotzigcdc.errors import FrameError, NotCubicError, OracleLimitError
 from kotzigcdc.frame import (
     C_KIND,
     K_KIND,
-    ContractedFrame,
-    build_colored_contraction,
-    check_frame_sufficiency,
-    contract_frame,
+    Frame,
+    PerfectColoring,
+    Witness,
     enumerate_frame_colorings,
     even_two_factors,
     find_well_connected_frame_coloring,
@@ -29,13 +29,13 @@ from kotzigcdc.frame import (
 from kotzigcdc.io import parse_graph6
 from kotzigcdc.multigraph import (
     Multigraph,
-    VertexMap,
     bridges,
     components,
     is_eulerian,
     sorted_edge_ids,
     sorted_vertices,
 )
+from kotzigcdc.rowgraph import build_row_graph, row_contract
 
 # bridgeless, 3-edge-connected and not 3-edge-colourable: no even 2-factor
 NOT_COLOURABLE_20 = "S_?S@DCA@?aAo?A??GO?@Ga??DOHA?o?_"
@@ -156,6 +156,119 @@ def test_bridge_warning():
     assert list(search_frames(g, "exhaustive")) == []
 
 
+# -- the contracted frame as its own graph, kept as the referee ------------------
+#
+# The program reads the contraction off the row graph (build_row_graph); this
+# is the separate construction it replaced, with the witness built on it.
+
+
+@dataclass(frozen=True)
+class ContractedFrame:
+    """One vertex per frame component (named by its label); edges are the
+    host edges joining different components, keeping their ids."""
+
+    graph: Multigraph
+    vertex_kind: dict  # label -> C_KIND | K_KIND
+
+
+@dataclass(frozen=True)
+class ColoredContraction:
+    contracted: ContractedFrame
+    edge_color: dict  # partial: host edge id -> color
+
+
+def contract_frame(f: Frame) -> ContractedFrame:
+    """One vertex per component; loops (chords) are dropped.  The result is
+    always eulerian because components have even order."""
+    label_of = f.label_of
+    edges = []
+    for eid, a, b in f.host.edges():
+        if eid in f.frame_edges or eid in f.chords:
+            continue
+        edges.append((eid, label_of[a], label_of[b]))
+    graph = Multigraph([c.label for c in f.components], edges)
+    assert is_eulerian(graph), "frame contraction must be eulerian"
+    return ContractedFrame(graph=graph, vertex_kind={c.label: c.kind for c in f.components})
+
+
+def build_colored_contraction(f: Frame, coloring: PerfectColoring) -> ColoredContraction:
+    """Color each contraction edge whose two host endpoints agree."""
+    if not is_perfect_coloring(f, coloring):
+        raise FrameError("coloring is not perfect for this frame")
+    cf = contract_frame(f)
+    edge_color = {}
+    for eid, _, _ in cf.graph.edges():
+        a, b = f.host.endpoints(eid)
+        ca = coloring.vertex_color.get(a)
+        cb = coloring.vertex_color.get(b)
+        if ca is not None and ca == cb:
+            edge_color[eid] = ca
+    return ColoredContraction(contracted=cf, edge_color=edge_color)
+
+
+def referee_witness(f: Frame, coloring: PerfectColoring) -> Witness | None:
+    """well_connected_witness on the colored contraction: the first color
+    whose edge class has one component holding every K-vertex."""
+    k_labels = f.k_labels()
+    if len(k_labels) == 0:
+        anchor = min(c.label for c in f.components)
+        return Witness(color=1, h_labels=frozenset([anchor]))
+    cc = build_colored_contraction(f, coloring)
+    graph = cc.contracted.graph
+    for color in (1, 2, 3):
+        eids = [e for e, c in cc.edge_color.items() if c == color]
+        for comp in components(graph.subgraph_of_edges(eids, keep_vertices=graph.vertices)):
+            if all(k in comp for k in k_labels):
+                return Witness(color=color, h_labels=frozenset(comp))
+    return None
+
+
+@dataclass(frozen=True)
+class FrameSufficiency:
+    """Three independently checkable conditions on the contracted frame,
+    each of which guarantees a well-connected coloring exists."""
+
+    k_independent_rest_connected: bool
+    k_near_c_rest_connected: bool
+    c_backbone_dominates_k: bool
+
+
+def check_frame_sufficiency(g: Multigraph, vertex_kind: dict) -> FrameSufficiency:
+    """The three conditions on a contraction given as its graph and the kind
+    of each vertex."""
+    k_set = {v for v in g.vertices if vertex_kind[v] == K_KIND}
+    c_set = {v for v in g.vertices if vertex_kind[v] == C_KIND}
+
+    k_independent = not any(
+        not g.is_loop(e) and all(x in k_set for x in g.endpoints(e)) for e in g.edge_ids
+    )
+    rest_edges = [e for e in g.edge_ids if all(x not in k_set for x in g.endpoints(e))]
+    rest = g.subgraph_of_edges(rest_edges, keep_vertices=[v for v in g.vertices if v not in k_set])
+    rest_connected = len(components(rest)) <= 1
+
+    every_k_near_c = all(
+        any(vertex_kind[g.other_end(e, k)] == C_KIND for e in g.incident_edges(k) if not g.is_loop(e))
+        for k in k_set
+    )
+
+    c_sub = g.subgraph_of_edges(
+        [e for e in g.edge_ids if all(x in c_set for x in g.endpoints(e))],
+        keep_vertices=sorted(c_set, key=repr),
+    )
+    backbone = not k_set
+    for comp in components(c_sub):
+        if backbone:
+            break
+        neighborhood = {g.other_end(e, v) for v in comp for e in g.incident_edges(v)}
+        backbone = k_set <= neighborhood
+
+    return FrameSufficiency(
+        k_independent_rest_connected=k_independent and rest_connected,
+        k_near_c_rest_connected=every_k_near_c and rest_connected,
+        c_backbone_dominates_k=backbone,
+    )
+
+
 # -- contraction -----------------------------------------------------------------
 
 
@@ -174,6 +287,8 @@ def test_contract_cube_two_squares():
     assert cf.graph.num_edges() == 4  # the matching between the squares
     assert is_eulerian(cf.graph)
     assert set(cf.vertex_kind.values()) == {C_KIND}
+    rc = row_contract(build_row_graph(g, f, monochromatic_coloring(f, {1: 1, 2: 2})))
+    assert sorted(rc.edges()) == sorted(cf.graph.edges())
 
 
 def test_contract_k4_frame():
@@ -186,9 +301,16 @@ def test_contract_k4_frame():
 
 
 def test_contraction_always_eulerian_over_search():
-    for g in (k4(), prism(), cube_graph(), theta_graph()):
-        for f in search_frames(g, "two_factor"):
-            assert is_eulerian(contract_frame(f).graph)
+    """The referee contraction is eulerian, and squashing the columns of
+    the row graph gives it edge for edge, on every frame of the corpus up
+    to 8 vertices under its first perfect coloring."""
+    for g in (k4(), prism(), cube_graph(), theta_graph(), *cubic_corpus(8)):
+        for f in search_frames(g, "exhaustive"):
+            cf = contract_frame(f)
+            assert is_eulerian(cf.graph)
+            coloring = next(enumerate_frame_colorings(f))
+            rc = row_contract(build_row_graph(g, f, coloring))
+            assert sorted(rc.edges(), key=repr) == sorted(cf.graph.edges(), key=repr)
 
 
 def test_edge_conservation():
@@ -202,8 +324,6 @@ def test_edge_conservation():
 
 
 def monochromatic_coloring(f, colors_by_label):
-    from kotzigcdc.frame import PerfectColoring
-
     vc, ec = {}, {}
     for comp in f.components:
         c = colors_by_label[comp.label]
@@ -214,11 +334,17 @@ def monochromatic_coloring(f, colors_by_label):
     return PerfectColoring(vertex_color=vc, edge_color=ec)
 
 
+def _row_colors(r):
+    """Host edge id -> row, for the row graph's edges inside one row."""
+    return {e.eid: e.a[0] for e in r.edges if e.a[0] == e.b[0]}
+
+
 def test_colored_contraction_same_color():
     g, f = cube_two_squares_frame()
     coloring = monochromatic_coloring(f, {1: 1, 2: 1})
     cc = build_colored_contraction(f, coloring)
     assert sorted(cc.edge_color.values()) == [1, 1, 1, 1]
+    assert _row_colors(build_row_graph(g, f, coloring)) == cc.edge_color
 
 
 def test_colored_contraction_different_colors():
@@ -226,6 +352,15 @@ def test_colored_contraction_different_colors():
     coloring = monochromatic_coloring(f, {1: 1, 2: 2})
     cc = build_colored_contraction(f, coloring)
     assert cc.edge_color == {}
+    assert _row_colors(build_row_graph(g, f, coloring)) == {}
+
+
+def test_witness_rejects_an_imperfect_coloring():
+    g = double_theta_graph()
+    f = validate_frame(g, range(10))
+    coloring = monochromatic_coloring(f, {1: 1, 2: 1})  # a K-component is not monochromatic
+    with pytest.raises(FrameError, match="not perfect"):
+        well_connected_witness(f, coloring)
 
 
 def test_is_perfect_coloring_rejects_bichromatic_cycle():
@@ -234,8 +369,6 @@ def test_is_perfect_coloring_rejects_bichromatic_cycle():
     assert is_perfect_coloring(f, coloring)
     bad_ec = dict(coloring.edge_color)
     bad_ec[f.components[0].edge_ids[0]] = 2
-    from kotzigcdc.frame import PerfectColoring
-
     assert not is_perfect_coloring(
         f, PerfectColoring(vertex_color=coloring.vertex_color, edge_color=bad_ec)
     )
@@ -323,31 +456,25 @@ def test_three_k_triangle_has_no_witness():
 
 
 def make_contracted(kinds, edges):
+    """A contraction as (graph, kind of each vertex), vertices 1, 2, ..."""
     g = Multigraph(range(1, len(kinds) + 1), edges)
-    return ContractedFrame(
-        graph=g,
-        vertex_kind={i + 1: k for i, k in enumerate(kinds)},
-        vertex_map=VertexMap({}),
-    )
+    return g, {i + 1: k for i, k in enumerate(kinds)}
 
 
 def test_sufficiency_no_k_connected():
-    cf = make_contracted([C_KIND, C_KIND], [(0, 1, 2), (1, 1, 2)])
-    out = check_frame_sufficiency(cf)
+    out = check_frame_sufficiency(*make_contracted([C_KIND, C_KIND], [(0, 1, 2), (1, 1, 2)]))
     assert out.k_independent_rest_connected
 
 
 def test_sufficiency_two_adjacent_k():
-    cf = make_contracted([K_KIND, K_KIND], [(0, 1, 2), (1, 1, 2)])
-    out = check_frame_sufficiency(cf)
+    out = check_frame_sufficiency(*make_contracted([K_KIND, K_KIND], [(0, 1, 2), (1, 1, 2)]))
     assert not out.k_independent_rest_connected
     assert not out.k_near_c_rest_connected
     assert not out.c_backbone_dominates_k
 
 
 def test_sufficiency_k_next_to_c():
-    cf = make_contracted([K_KIND, C_KIND], [(0, 1, 2), (1, 1, 2)])
-    out = check_frame_sufficiency(cf)
+    out = check_frame_sufficiency(*make_contracted([K_KIND, C_KIND], [(0, 1, 2), (1, 1, 2)]))
     assert out.k_near_c_rest_connected
     assert out.c_backbone_dominates_k
 

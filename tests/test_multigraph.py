@@ -12,9 +12,15 @@ from kotzigcdc.multigraph import (
     is_bipartite,
     is_connected,
     is_eulerian,
-    spanning_forest,
     suppress_degree2,
+    _rooted_forest,
 )
+
+
+def spanning_forest(g: Multigraph) -> set:
+    """A maximal acyclic edge set (one spanning tree per component): the
+    parent edges of the breadth-first forest."""
+    return {eid for eid in _rooted_forest(g)[1].values() if eid is not None}
 
 
 def test_degree_counts_loops_twice():

@@ -28,7 +28,12 @@ from kotzigcdc.rowgraph import (
     solve_gf2,
 )
 from kotzigcdc.amiable import permute_component_colors
-from tests.test_frame import cube_two_squares_frame, monochromatic_coloring, prism_hamiltonian_frame
+from tests.test_frame import (
+    contract_frame,
+    cube_two_squares_frame,
+    monochromatic_coloring,
+    prism_hamiltonian_frame,
+)
 
 
 def edge_signature(r):
@@ -75,8 +80,6 @@ def test_row_contract_matches_contracted_frame():
     coloring = monochromatic_coloring(f, {1: 1, 2: 2})
     r = build_row_graph(g, f, coloring)
     rc = row_contract(r)
-    from kotzigcdc.frame import contract_frame
-
     cf = contract_frame(f).graph
     assert is_eulerian(rc)
     assert sorted(rc.degree(v) for v in rc.vertices) == sorted(

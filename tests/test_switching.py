@@ -12,13 +12,42 @@ from kotzigcdc.switching import (
     BLUE,
     RED,
     acyclic_t_join,
-    apply_switch,
-    apply_switch_sequence,
-    is_all_blue,
     resolve_two_row,
     switchable_to_blue,
-    t_join_degrees_ok,
 )
+
+
+# -- switches and the t-join contract, the referees for the code above ---------
+
+
+def apply_switch(g: Multigraph, coloring: dict, v) -> dict:
+    """Flip non-loop edges at v; loops keep their color."""
+    if not g.has_vertex(v):
+        raise HypothesisError(f"unknown vertex {v!r}")
+    out = dict(coloring)
+    for eid in g.incident_edges(v):
+        if g.is_loop(eid):
+            continue
+        out[eid] = BLUE if out[eid] == RED else RED
+    return out
+
+
+def apply_switch_sequence(g: Multigraph, coloring: dict, seq) -> dict:
+    """Switch at every vertex of seq in turn; only parities matter."""
+    for v in seq:
+        coloring = apply_switch(g, coloring, v)
+    return coloring
+
+
+def is_all_blue(coloring: dict) -> bool:
+    return all(c == BLUE for c in coloring.values())
+
+
+def t_join_degrees_ok(g: Multigraph, t, edges: set) -> bool:
+    """Every vertex has odd degree in edges exactly when it is in t."""
+    t = set(t)
+    sub = g.subgraph_of_edges(edges, keep_vertices=g.vertices)
+    return all((sub.degree(v) % 2 == 1) == (v in t) for v in g.vertices)
 
 
 def brute_switchable(g, coloring):
