@@ -676,7 +676,7 @@ def normalize_frame_coloring(
     label_of = frame.label_of
     comp_by_label = {c.label: c for c in frame.components}
     ends: dict = {label: [] for label in comp_by_label}  # label -> (near, far) per free edge
-    for eid in frame.free_edges():
+    for eid in frame.free_edges:
         a, b = frame.host.endpoints(eid)
         ends[label_of[a]].append((a, b))
         ends[label_of[b]].append((b, a))
@@ -747,16 +747,17 @@ def normalize_frame_coloring(
 
 def amiable_coloring_for_frame(
     g: Multigraph, frame: Frame, coloring: PerfectColoring, witness: Witness
-) -> tuple[Frame, PerfectColoring, AmiableColoring, ConstructionTrace]:
+) -> tuple[Frame, PerfectColoring, RowGraph, AmiableColoring, ConstructionTrace]:
     """Full constructive path from a well-connected coloring to an amiable
     coloring.
 
-    Returns (relabeled frame, normalized coloring, amiable coloring,
-    trace); the amiable coloring is valid on the row graph of the relabeled
-    frame and the normalized coloring.
+    Returns (relabeled frame, normalized coloring, row graph, amiable
+    coloring, trace): the row graph is the one of the relabeled frame and
+    the normalized coloring, and the amiable coloring is valid on it.  The
+    tuple is construct_6cdc's arguments after the host.
     """
     trace = ConstructionTrace()
     frame2, coloring2, h_columns, k = normalize_frame_coloring(frame, coloring, witness, trace)
     r = build_row_graph(g, frame2, coloring2)
     amiable, trace = construct_amiable_main(r, h_columns, k, trace)
-    return frame2, coloring2, amiable, trace
+    return frame2, coloring2, r, amiable, trace

@@ -18,7 +18,7 @@ from .amiable import ConstructionTrace, permute_component_colors
 from .errors import ConstructionInvariantError, GraphFormatError, HypothesisError
 from .frame import Frame, PerfectColoring
 from .multigraph import EdgeId, Multigraph, _sort_key, sorted_edge_ids
-from .rowgraph import AmiableColoring, build_row_graph, is_amiable
+from .rowgraph import AmiableColoring, RowGraph, is_amiable
 
 CLASS_LABELS = ("1a", "1b", "2a", "2b", "3a", "3b")
 
@@ -105,20 +105,20 @@ def _traverse_cycle(g: Multigraph, at: dict, start, first_edge) -> tuple[list, l
     return vertices, edges
 
 
-def _canonical_cycle(g: Multigraph, at: dict, vertices: list) -> tuple:
-    """A cycle's edges from its least vertex along the least edge there
-    (sorted_edge_ids orders vertices as sorted_vertices does)."""
-    start = sorted_edge_ids(vertices)[0]
-    return tuple(_traverse_cycle(g, at, start, sorted_edge_ids(at[start])[0])[1])
-
-
-def _cycle_components(g: Multigraph, eids: Iterable[EdgeId]) -> tuple[dict, list[list]]:
-    """Split a 2-regular edge set into its cycles, in the order of their
-    least edge ids.  Returns the incidence map of the set and, per cycle,
-    its vertices in walk order.  A vertex of another degree raises
-    HypothesisError, naming the first such vertex in host order."""
-    eids = set(eids)
-    at = _incidence(g, eids)
+def _cycles(g: Multigraph, eids: set) -> tuple[dict, list[tuple[list, list]]]:
+    """Walk each cycle of a 2-regular edge set once, in the order of the
+    cycles' least edge ids.  Returns the set's incidence map, vertex -> its
+    two (edge, far end) pairs (a loop twice), and per cycle its vertices
+    and edges in walk order, edges[k] joining vertices[k] to
+    vertices[k + 1] and the last edge closing the walk.  A vertex of
+    another degree raises HypothesisError, naming the first such vertex in
+    host order."""
+    at: dict = {}
+    endpoints = g.endpoints
+    for eid in eids:
+        a, b = endpoints(eid)
+        at.setdefault(a, []).append((eid, b))
+        at.setdefault(b, []).append((eid, a))
     bad = [v for v, here in at.items() if len(here) != 2]
     if bad:
         v = g.in_host_order(bad)[0]
@@ -128,16 +128,34 @@ def _cycle_components(g: Multigraph, eids: Iterable[EdgeId]) -> tuple[dict, list
     for seed in sorted_edge_ids(eids):
         if seed in seen:
             continue
-        vertices, edges = _traverse_cycle(g, at, g.endpoints(seed)[0], seed)
+        start, cur = g.endpoints(seed)
+        vertices, edges = [start], [seed]
+        while cur != start:
+            vertices.append(cur)
+            (e1, w1), (e2, w2) = at[cur]
+            eid, cur = (e2, w2) if e1 == edges[-1] else (e1, w1)
+            edges.append(eid)
         seen.update(edges)
-        out.append(vertices)
+        out.append((vertices, edges))
     return at, out
 
 
-def _canonical_cycles(g: Multigraph, eids: set) -> list[tuple]:
-    """The cycles of a 2-regular edge set, each as _canonical_cycle reads it."""
-    at, cycles = _cycle_components(g, eids)
-    return [_canonical_cycle(g, at, verts) for verts in cycles]
+def _rooted(vertices: list, edges: list, p: int, first) -> tuple[list, list]:
+    """The closed walk (vertices, edges) read from vertices[p] along its
+    edge first, by rotating the lists or reversing them."""
+    if edges[p] != first:
+        # reversed, edges[k] joins vertices[k + 1] to vertices[k]
+        vertices, edges = vertices[::-1], edges[-2::-1] + edges[-1:]
+        p = len(vertices) - 1 - p
+    return vertices[p:] + vertices[:p], edges[p:] + edges[:p]
+
+
+def _canonical_cycle(vertices: list, edges: list) -> tuple:
+    """A closed walk's edges from its least vertex along the least edge
+    there (sorted_edge_ids orders vertices as sorted_vertices does)."""
+    p = vertices.index(sorted_edge_ids(vertices)[0])
+    first = sorted_edge_ids((edges[p], edges[p - 1]))[0]
+    return tuple(_rooted(vertices, edges, p, first)[1])
 
 
 def two_cycle_cover_even(
@@ -147,58 +165,84 @@ def two_cycle_cover_even(
 
     Cycle edges end up covered once, matching edges twice, and each of the
     two returned classes consists of pairwise edge-disjoint cycles.  Every
-    cycle must carry an even number of matching endpoints.  The two classes
-    come from 2-coloring the arcs between consecutive attachment points
-    alternately around each cycle, deterministically: the walk starts at
-    the smallest attachment vertex toward its smaller neighbor.
+    cycle must carry an even number of matching endpoints.  Each cycle is
+    walked once and cut into arcs at its attachment points, from the least
+    attachment vertex toward its least neighbour; the arcs go to the two
+    classes alternately.  A class's cycles are read by joining its arcs
+    through the matching edges, each from its least vertex along the least
+    edge there, in the order of their least edge ids.  The first class
+    ends with the cycles that carry no attachment point.
     """
     cycle_edges = set(cycle_edges)
     matching_edges = set(matching_edges)
     if cycle_edges & matching_edges:
         raise HypothesisError("cycle and matching edge sets overlap")
-    at, cycles = _cycle_components(g, cycle_edges)
-    attach_at: dict = {}
+    at, cycles = _cycles(g, cycle_edges)
+    across: dict = {}  # attachment vertex -> (its matching edge, the far end)
     for eid in matching_edges:
-        for v in g.endpoints(eid):
+        a, b = g.endpoints(eid)
+        for v, w in ((a, b), (b, a)):  # a loop meets its own first end
             if v not in at:
                 raise HypothesisError(f"matching edge {eid!r} endpoint {v!r} misses the cycles")
-            if v in attach_at:
+            if v in across:
                 raise HypothesisError(f"vertex {v!r} carries two attachment edges")
-            attach_at[v] = eid
-        if g.is_loop(eid):
-            raise HypothesisError(f"matching edge {eid!r} is a loop")
+            across[v] = (eid, w)
 
-    class_a: set = set(matching_edges)
-    class_b: set = set(matching_edges)
+    # per class: attachment vertex -> the arc of the class that leaves it,
+    # as its cycle's rooted lists and the arc's positions there, from the
+    # vertex to the far end
+    leave: tuple[dict, dict] = ({}, {})
     lonely_cycles: list[tuple] = []
-    for verts in cycles:
-        attachments = sorted((v for v in verts if v in attach_at), key=_sort_key)
-        if not attachments:
-            lonely_cycles.append(_canonical_cycle(g, at, verts))
+    key_rank = g.key_rank()
+    for vertices, edges in cycles:
+        attached = [v for v in vertices if v in across]
+        if not attached:
+            lonely_cycles.append(_canonical_cycle(vertices, edges))
             continue
-        if len(attachments) % 2 != 0:
-            raise HypothesisError(
-                f"cycle through {attachments[0]!r} has {len(attachments)} attachment points"
-            )
-        start = attachments[0]
-        first_edge = min(
-            at[start], key=lambda e: (*_sort_key(g.other_end(e, start)), *_sort_key(e))
-        )
-        order_vertices, order_edges = _traverse_cycle(g, at, start, first_edge)
-        # order_edges[k] joins order_vertices[k] to order_vertices[k+1]
-        segments: list[list] = [[]]
-        for pos, eid in enumerate(order_edges):
-            segments[-1].append(eid)
-            nxt_vertex = order_vertices[(pos + 1) % len(order_vertices)]
-            if nxt_vertex in attach_at and pos != len(order_edges) - 1:
-                segments.append([])
-        if len(segments) != len(attachments):
-            raise ConstructionInvariantError("one arc per attachment point")
-        for idx, seg in enumerate(segments):
-            (class_a if idx % 2 == 0 else class_b).update(seg)
+        start = min(attached, key=key_rank.__getitem__)
+        if len(attached) % 2 != 0:
+            raise HypothesisError(f"cycle through {start!r} has {len(attached)} attachment points")
+        # toward the least neighbour by (type name, repr), then the least edge
+        (e1, w1), (e2, w2) = at[start]
+        if key_rank[w1] != key_rank[w2]:
+            first = e1 if key_rank[w1] < key_rank[w2] else e2
+        else:
+            first = min(e1, e2, key=_sort_key)
+        vertices, edges = _rooted(vertices, edges, vertices.index(start), first)
+        vertices.append(start)
+        cuts = [k for k, v in enumerate(vertices) if v in across]
+        for n, (i, j) in enumerate(zip(cuts, cuts[1:])):
+            leave[n % 2][vertices[i]] = (vertices, edges, i, j)
+            leave[n % 2][vertices[j]] = (vertices, edges, j, i)
 
-    cycles_a = _canonical_cycles(g, class_a)
-    cycles_b = _canonical_cycles(g, class_b)
+    classes = []
+    for side in leave:
+        walks = []
+        seen: set = set()
+        for v in side:
+            walk_v: list = []
+            walk_e: list = []
+            while v not in seen:
+                cycle_v, cycle_e, i, j = side[v]
+                if i < j:
+                    walk_v += cycle_v[i:j]
+                    walk_e += cycle_e[i:j]
+                else:
+                    walk_v += cycle_v[i:j:-1]
+                    walk_e += cycle_e[j:i][::-1]
+                end = cycle_v[j]
+                seen.update((v, end))
+                eid, v = across[end]
+                walk_v.append(end)
+                walk_e.append(eid)
+            if walk_e:
+                walks.append((walk_v, walk_e))
+        # the order of least edge ids, chosen once on the whole class
+        eids = [e for _, walk_e in walks for e in walk_e]
+        rank = dict(zip(sorted_edge_ids(eids), range(len(eids))))
+        walks.sort(key=lambda walk: min(map(rank.__getitem__, walk[1])))
+        classes.append([_canonical_cycle(*walk) for walk in walks])
+    cycles_a, cycles_b = classes
     cycles_a.extend(lonely_cycles)
     return cycles_a, cycles_b
 
@@ -218,23 +262,45 @@ def fold_vertex_coloring(
     return permute_component_colors(f, coloring, perms)
 
 
+def _require_row_graph(g: Multigraph, f: Frame, coloring: PerfectColoring, r: RowGraph) -> None:
+    """Raise HypothesisError unless r is the row graph build_row_graph
+    gives for (g, f, coloring), read in one pass over its edges."""
+    free = f.free_edges
+    if (r.s, r.rows, len(r.edges)) != (f.s, 3, len(free)):
+        raise HypothesisError("row graph does not match the frame")
+    label_of = f.label_of
+    vertex_color = coloring.vertex_color
+    for e, eid in zip(r.edges, free):
+        v, w = g.endpoints(eid)
+        if (e.eid, e.a, e.b) != (
+            eid, (vertex_color.get(v), label_of[v]), (vertex_color.get(w), label_of[w])
+        ):
+            raise HypothesisError(f"row edge {e.eid!r} does not match the frame and coloring")
+
+
+OTHER_COLORS = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+
+
 def construct_6cdc(
     g: Multigraph,
     f: Frame,
     coloring: PerfectColoring,
+    r: RowGraph,
     amiable: AmiableColoring,
     trace: ConstructionTrace | None = None,
 ) -> CdcCertificate:
     """Assemble a 6-class cycle double cover from an amiable coloring of
-    the row graph of (g, f, coloring).  The caller verifies it (verify_cdc),
-    as run_pipeline does.
+    r, the row graph of (g, f, coloring), as amiable_coloring_for_frame
+    returns them.  The caller verifies it (verify_cdc), as run_pipeline
+    does.
 
     After fold_vertex_coloring the edge coloring amiable.g is amiable, with
     the identity vertex coloring, on the row graph of the folded coloring:
     the fold renames the rows of each column as amiable.f does.
     """
     trace = trace or ConstructionTrace()
-    if not is_amiable(build_row_graph(g, f, coloring), amiable):
+    _require_row_graph(g, f, coloring, r)
+    if not is_amiable(r, amiable):
         raise HypothesisError("coloring is not amiable for this row graph")
 
     folded = fold_vertex_coloring(f, coloring, amiable)
@@ -242,14 +308,13 @@ def construct_6cdc(
     # per color: the frame edges of other colors, and the free edges and
     # chords of this color
     chord_parts = dict(zip((1, 2, 3), partition_chords(f, folded)))
-    frame_parts = {
-        color: frozenset(eid for eid in f.frame_edges if folded.edge_color[eid] != color)
-        for color in (1, 2, 3)
-    }
-    free_parts = {
-        color: frozenset(eid for eid in f.free_edges() if amiable.g[eid] == color)
-        for color in (1, 2, 3)
-    }
+    cycle_parts: dict = {1: [], 2: [], 3: []}
+    for eid in f.frame_edges:
+        for color in OTHER_COLORS[folded.edge_color[eid]]:
+            cycle_parts[color].append(eid)
+    matchings = {color: set(chord_parts[color]) for color in (1, 2, 3)}
+    for eid in f.free_edges:
+        matchings[amiable.g[eid]].add(eid)
     trace.record(
         "j_decomposition",
         chords={c: sorted_edge_ids(chord_parts[c]) for c in (1, 2, 3)},
@@ -257,11 +322,8 @@ def construct_6cdc(
 
     classes = {}
     for color in (1, 2, 3):
-        matching = free_parts[color] | chord_parts[color]
         try:
-            cycles_a, cycles_b = two_cycle_cover_even(
-                g, frame_parts[color], matching
-            )
+            cycles_a, cycles_b = two_cycle_cover_even(g, cycle_parts[color], matchings[color])
         except HypothesisError as exc:
             raise ConstructionInvariantError(
                 f"2-cycle cover precondition failed for color {color}: {exc}"
@@ -312,9 +374,9 @@ def verify_cdc(g: Multigraph, cert: CdcCertificate) -> CdcReport:
             bad_degree = [v for v, here in at.items() if len(here) != 2]
             if bad_degree:
                 violations.append(f"{name} is not 2-regular at {g.in_host_order(bad_degree)}")
-            elif not eids or len(
-                _traverse_cycle(g, at, g.endpoints(eids[0])[0], eids[0])[1]
-            ) != len(eids):
+            elif not eids:
+                violations.append(f"{name} is empty")
+            elif len(_traverse_cycle(g, at, g.endpoints(eids[0])[0], eids[0])[1]) != len(eids):
                 # a 2-regular edge set is one cycle iff one walk takes in all of it
                 violations.append(f"{name} is disconnected")
             overlap = used_in_class & set(eids)

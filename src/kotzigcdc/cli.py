@@ -94,11 +94,11 @@ def run_pipeline(
                 continue
             report.stages.append("well_connected")
             coloring, witness = found
-            frame2, coloring2, amiable, trace = amiable_coloring_for_frame(
+            frame2, coloring2, rows, amiable, trace = amiable_coloring_for_frame(
                 g, frame, coloring, witness
             )
             report.stages.append("amiable")
-            certificate = construct_6cdc(g, frame2, coloring2, amiable, trace)
+            certificate = construct_6cdc(g, frame2, coloring2, rows, amiable, trace)
             check = verify_cdc(g, certificate)
             if not check.valid:
                 report.outcome = "invariant_error"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import FrameError, GraphFormatError, NotCubicError, OracleLimitError
 from .kotzig import (
@@ -32,8 +32,8 @@ from .multigraph import (
     Vertex,
     _rooted_forest,
     bridges,
-    components,
     sorted_edge_ids,
+    sorted_vertices,
 )
 from .rowgraph import build_row_graph, row_components
 
@@ -79,13 +79,16 @@ class Frame:
             if eid not in self.frame_edges and label_of[a] == label_of[b]
         )
 
-    def free_edges(self) -> list[EdgeId]:
-        """Host edges outside the frame and outside the chord set."""
-        return [
+    @cached_property
+    def free_edges(self) -> tuple[EdgeId, ...]:
+        """Host edges outside the frame and outside the chord set, in the
+        order sorted_edge_ids gives the host's edge ids."""
+        frame_edges, chords = self.frame_edges, self.chords
+        return tuple(
             eid
             for eid in sorted_edge_ids(self.host.edge_ids)
-            if eid not in self.frame_edges and eid not in self.chords
-        ]
+            if eid not in frame_edges and eid not in chords
+        )
 
     def k_labels(self) -> list[int]:
         return [c.label for c in self.components if c.kind == K_KIND]
@@ -110,15 +113,14 @@ class Witness:
     h_labels: frozenset
 
 
-def validate_frame(
-    g: Multigraph,
-    frame_edges: Iterable[EdgeId],
-    labeling: Sequence[Iterable[Vertex]] | None = None,
-) -> Frame:
+def validate_frame(g: Multigraph, frame_edges: Iterable[EdgeId]) -> Frame:
     """Check an edge set against the frame definition and classify it.
 
     The host must be cubic, and every edge id one of its own, type and
-    all (see Multigraph.has_edge).
+    all (see Multigraph.has_edge).  One pass over the frame edges gives
+    every vertex its frame neighbours, so its frame degree (a loop counts
+    2); the components are read off those lists, ordered by least vertex
+    (sorted_vertices), each listing its vertices by (type name, repr).
     """
     if not g.is_cubic():
         raise NotCubicError("frame host must be 3-regular")
@@ -128,20 +130,27 @@ def validate_frame(
             raise GraphFormatError(f"unknown edge id {eid!r}")
     frame_edges = frozenset(frame_edges)
 
-    sub = g.subgraph_of_edges(frame_edges, keep_vertices=g.vertices)
-    comps = components(sub)
-    covered = {v for comp in comps for v in comp}
-    if covered != set(g.vertices):
-        raise FrameError("frame must span every vertex")
+    near: dict = {v: [] for v in g.vertices}  # vertex -> frame neighbours
+    for eid in frame_edges:
+        a, b = g.endpoints(eid)
+        near[a].append(b)
+        near[b].append(a)
+    position: dict = {}  # vertex -> index of its component
+    comps: list[list[Vertex]] = []
+    key_rank = g.key_rank()
+    for start in sorted_vertices(g):
+        if start in position:
+            continue
+        position[start] = len(comps)
+        comp, todo = [start], [start]
+        while todo:
+            for w in near[todo.pop()]:
+                if w not in position:
+                    position[w] = len(comps)
+                    comp.append(w)
+                    todo.append(w)
+        comps.append(sorted(comp, key=key_rank.__getitem__))
 
-    if labeling is not None:
-        wanted = [frozenset(part) for part in labeling]
-        actual = {frozenset(c) for c in comps}
-        if set(wanted) != actual or len(wanted) != len(comps):
-            raise FrameError("labeling does not match the frame components")
-        comps = [sorted(part, key=lambda v: (str(type(v)), repr(v))) for part in wanted]
-
-    position = {v: pos for pos, comp in enumerate(comps) for v in comp}
     eids_of: list[list[EdgeId]] = [[] for _ in comps]
     for eid in sorted_edge_ids(frame_edges):
         eids_of[position[g.endpoints(eid)[0]]].append(eid)
@@ -170,15 +179,11 @@ def validate_frame(
             )
         )
 
-    frame = Frame(host=g, frame_edges=frame_edges, components=tuple(out))
     # host is cubic, so every 2-valent frame vertex has exactly one free edge
     for v in g.vertices:
-        frame_deg = sum(
-            2 if g.is_loop(e) else 1 for e in g.incident_edges(v) if e in frame_edges
-        )
-        if frame_deg not in (2, 3):
-            raise FrameError(f"vertex {v!r} has frame degree {frame_deg}")
-    return frame
+        if len(near[v]) not in (2, 3):
+            raise FrameError(f"vertex {v!r} has frame degree {len(near[v])}")
+    return Frame(host=g, frame_edges=frame_edges, components=tuple(out))
 
 
 def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
@@ -500,11 +505,3 @@ def frame_to_json(f: Frame) -> dict:
         ],
         "chords": sorted_edge_ids(f.chords),
     }
-
-
-def frame_from_json(g: Multigraph, obj: dict) -> Frame:
-    labeling = [comp["vertices"] for comp in sorted(obj["components"], key=lambda c: c["label"])]
-    frame = validate_frame(g, obj["frame_edges"], labeling=labeling)
-    if sorted_edge_ids(frame.chords) != sorted_edge_ids(obj.get("chords", frame.chords)):
-        raise FrameError("chord set in file does not match the recomputed chords")
-    return frame

@@ -24,7 +24,10 @@ class Multigraph:
     preserves degree parity.
     """
 
-    __slots__ = ("_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index", "_typed_ids")
+    __slots__ = (
+        "_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index", "_typed_ids",
+        "_key_rank",
+    )
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[EdgeId, Vertex, Vertex]]):
         self._vertices: tuple[Vertex, ...] = tuple(vertices)
@@ -52,6 +55,7 @@ class Multigraph:
             self._degree[v] += 1
         self._index: dict[Vertex, int] | None = None
         self._typed_ids: frozenset | None = None
+        self._key_rank: dict[Vertex, int] | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -121,6 +125,17 @@ class Multigraph:
         if self._index is None:
             self._index = {v: i for i, v in enumerate(self._vertices)}
         return sorted(vertices, key=self._index.__getitem__)
+
+    def key_rank(self) -> dict[Vertex, int]:
+        """Vertex -> its rank among the vertices ordered by (type name,
+        repr), equal keys sharing a rank, so that min and sorted by it pick
+        and order as they would by the keys.  Built on the first call and
+        kept."""
+        if self._key_rank is None:
+            keys = {v: _sort_key(v) for v in self._vertices}
+            rank = {key: i for i, key in enumerate(sorted(set(keys.values())))}
+            self._key_rank = {v: rank[key] for v, key in keys.items()}
+        return self._key_rank
 
     def subgraph_of_edges(self, eids: Iterable[EdgeId], keep_vertices: Iterable[Vertex] = ()) -> "Multigraph":
         """Subgraph induced by an edge set plus any extra isolated vertices

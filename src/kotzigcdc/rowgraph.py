@@ -141,7 +141,7 @@ def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
     """
     label_of = frame.label_of
     edges = []
-    for eid in frame.free_edges():
+    for eid in frame.free_edges:
         v, w = g.endpoints(eid)
         cv = coloring.vertex_color.get(v)
         cw = coloring.vertex_color.get(w)
@@ -270,18 +270,16 @@ def amiable_violations(r: RowGraph, a: AmiableColoring) -> list[str]:
         colors = [a.f[v] for v in r.column(j)]
         if len(set(colors)) != len(colors):
             out.append(f"column {j} repeats a vertex color")
+    count: dict = {}  # (column, color) -> edge ends of that color in the column
     for e in r.edges:
+        color = a.g[e.eid]
         for v in (e.a, e.b):
-            if a.f[v] == a.g[e.eid]:
-                out.append(f"edge {e.eid!r} shares color {a.g[e.eid]} with vertex {v}")
+            if a.f[v] == color:
+                out.append(f"edge {e.eid!r} shares color {color} with vertex {v}")
+            count[v[1], color] = count.get((v[1], color), 0) + 1
     for j in range(1, r.s + 1):
         for color in (1, 2, 3):
-            total = sum(
-                1
-                for v in r.column(j)
-                for e in r.edges_at(v)
-                if a.g[e.eid] == color
-            )
+            total = count.get((j, color), 0)
             if total % 2 != 0:
                 out.append(f"column {j} has odd count {total} of color {color}")
     return out

@@ -46,7 +46,7 @@ from kotzigcdc.rowgraph import (
 )
 from kotzigcdc.switching import acyclic_t_join
 from tests.test_cdc import planted_host, planted_multi_k_hosts
-from tests.test_frame import build_colored_contraction, referee_witness
+from tests.test_frame import build_colored_contraction, referee_witness, validate_labeled
 from tests.test_rowgraph import edge_signature
 
 
@@ -693,7 +693,7 @@ def _relabel_cases():
 def test_normalize_relabel_matches_revalidation(g):
     """normalize_frame_coloring relabels the components it already holds
     instead of validating the frame again; on every frame the exhaustive
-    search finds, the frame it returns must equal the one validate_frame
+    search finds, the frame it returns must equal the one validate_labeled
     builds from the same labeling."""
     frames = checked = 0
     for frame in search_frames(g, "exhaustive"):
@@ -706,8 +706,8 @@ def test_normalize_relabel_matches_revalidation(g):
         relabeled, col2, _, _ = normalize_frame_coloring(frame, coloring, witness, trace)
         order = trace.find("relabel")["order"]
         comp_by_label = {c.label: c for c in frame.components}
-        reference = validate_frame(
-            g, frame.frame_edges, labeling=[comp_by_label[l].vertices for l in order]
+        reference = validate_labeled(
+            g, frame.frame_edges, [comp_by_label[l].vertices for l in order]
         )
         assert [_component_key(c) for c in relabeled.components] == [
             _component_key(c) for c in reference.components
@@ -770,7 +770,7 @@ def restart_normalize(frame, coloring, witness):
     grown = True
     while grown:
         grown = False
-        for eid in frame.free_edges():
+        for eid in frame.free_edges:
             v, w = frame.host.endpoints(eid)
             for a, b in ((v, w), (w, v)):
                 la, lb = label_of[a], label_of[b]

@@ -1,12 +1,13 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from kotzigcdc import cdc
+from kotzigcdc import cdc, cli
 from kotzigcdc.amiable import amiable_coloring_for_frame, identity_f
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, path_graph, petersen, prism, theta_graph
 from kotzigcdc.cdc import (
@@ -23,12 +24,13 @@ from kotzigcdc.errors import HypothesisError
 from kotzigcdc.frame import find_well_connected_frame_coloring, search_frames, validate_frame
 from kotzigcdc.multigraph import (
     Multigraph,
+    _sort_key,
     components,
     is_connected,
     sorted_edge_ids,
     sorted_vertices,
 )
-from kotzigcdc.rowgraph import AmiableColoring, build_row_graph, is_amiable
+from kotzigcdc.rowgraph import AmiableColoring, RowGraph, build_row_graph, is_amiable
 from tests.test_frame import monochromatic_coloring
 
 
@@ -175,7 +177,7 @@ def test_k_component_cycles_lift_base_hamiltonians():
     g = petersen()
     frame = next(search_frames(g, "exhaustive"))
     coloring, witness = find_well_connected_frame_coloring(frame)
-    f2, col2, amiable, trace = amiable_coloring_for_frame(g, frame, coloring, witness)
+    f2, col2, _, amiable, trace = amiable_coloring_for_frame(g, frame, coloring, witness)
     folded = fold_vertex_coloring(f2, col2, amiable)
     for comp in f2.components:
         if comp.kind != "K":
@@ -194,6 +196,21 @@ def test_k_component_cycles_lift_base_hamiltonians():
                 e for e in comp.edge_ids if folded.edge_color[e] != color
             }
             assert lifted == frame_part
+
+
+def test_construct_refuses_a_row_graph_of_another_frame_or_coloring():
+    """construct_6cdc reads the row graph it is handed only after checking
+    that it is the row graph of the frame and colouring: one edge moved to
+    another row, or one edge missing, raises HypothesisError."""
+    g = cube_graph()
+    f2, col2, r, amiable, trace = first_amiable(g)
+    e = r.edges[0]
+    moved = RowGraph(r.s, [replace(e, a=(e.a[0] % 3 + 1, e.a[1])), *r.edges[1:]])
+    with pytest.raises(HypothesisError, match=f"row edge {e.eid!r} does not match"):
+        construct_6cdc(g, f2, col2, moved, amiable, trace)
+    with pytest.raises(HypothesisError, match="row graph does not match the frame"):
+        construct_6cdc(g, f2, col2, RowGraph(r.s, r.edges[1:]), amiable, trace)
+    assert verify_cdc(g, construct_6cdc(g, f2, col2, r, amiable, trace)).valid
 
 
 # -- verification ------------------------------------------------------------------------
@@ -235,11 +252,14 @@ def test_verify_detects_non_cycle():
     assert any("2-regular" in v for v in report.violations)
 
 
-@pytest.mark.parametrize("cycle", [(0, 1, 2, 3, 4, 5), ()])
-def test_verify_detects_disconnected_cycle(cycle):
+@pytest.mark.parametrize(
+    "cycle, problem", [((0, 1, 2, 3, 4, 5), "is disconnected"), ((), "is empty")],
+    ids=["cycle0", "cycle1"],
+)
+def test_verify_detects_disconnected_cycle(cycle, problem):
     # the two triangles of the prism listed as one cycle, and an empty cycle
     report = verify_cdc(prism(), CdcCertificate(classes={"1a": (cycle,)}))
-    assert report.violations[0] == "1a[0] is disconnected"
+    assert report.violations[0] == f"1a[0] {problem}"
 
 
 def test_verify_detects_repeated_edge():
@@ -360,6 +380,8 @@ def oracle_verify_cdc(g, cert):
             bad_degree = [v for v in sub.vertices if sub.degree(v) != 2]
             if bad_degree:
                 violations.append(f"{name} is not 2-regular at {bad_degree}")
+            elif not eids:
+                violations.append(f"{name} is empty")
             elif len(components(sub)) != 1:
                 violations.append(f"{name} is disconnected")
             overlap = used_in_class & set(eids)
@@ -377,6 +399,89 @@ def oracle_verify_cdc(g, cert):
     return CdcReport(valid=not violations, violations=violations, coverage=coverage)
 
 
+# The cover assembly that walked each frame cycle twice and each output
+# cycle twice more, on one incidence map per class.  Kept as the referee
+# for cdc.two_cycle_cover_even: same cycles, same order, same errors.
+
+
+def referee_canonical_cycle(g, at, vertices):
+    start = sorted_edge_ids(vertices)[0]
+    return tuple(cdc._traverse_cycle(g, at, start, sorted_edge_ids(at[start])[0])[1])
+
+
+def referee_cycle_components(g, eids):
+    eids = set(eids)
+    at = cdc._incidence(g, eids)
+    bad = [v for v, here in at.items() if len(here) != 2]
+    if bad:
+        v = g.in_host_order(bad)[0]
+        raise HypothesisError(f"vertex {v!r} has degree {len(at[v])} in the 2-factor")
+    seen: set = set()
+    out = []
+    for seed in sorted_edge_ids(eids):
+        if seed in seen:
+            continue
+        vertices, edges = cdc._traverse_cycle(g, at, g.endpoints(seed)[0], seed)
+        seen.update(edges)
+        out.append(vertices)
+    return at, out
+
+
+def referee_canonical_cycles(g, eids):
+    at, cycles = referee_cycle_components(g, eids)
+    return [referee_canonical_cycle(g, at, verts) for verts in cycles]
+
+
+def referee_two_cycle_cover_even(g, cycle_edges, matching_edges):
+    cycle_edges = set(cycle_edges)
+    matching_edges = set(matching_edges)
+    if cycle_edges & matching_edges:
+        raise HypothesisError("cycle and matching edge sets overlap")
+    at, cycles = referee_cycle_components(g, cycle_edges)
+    attach_at: dict = {}
+    for eid in matching_edges:
+        for v in g.endpoints(eid):
+            if v not in at:
+                raise HypothesisError(f"matching edge {eid!r} endpoint {v!r} misses the cycles")
+            if v in attach_at:
+                raise HypothesisError(f"vertex {v!r} carries two attachment edges")
+            attach_at[v] = eid
+        if g.is_loop(eid):
+            raise HypothesisError(f"matching edge {eid!r} is a loop")
+
+    class_a: set = set(matching_edges)
+    class_b: set = set(matching_edges)
+    lonely_cycles = []
+    for verts in cycles:
+        attachments = sorted((v for v in verts if v in attach_at), key=_sort_key)
+        if not attachments:
+            lonely_cycles.append(referee_canonical_cycle(g, at, verts))
+            continue
+        if len(attachments) % 2 != 0:
+            raise HypothesisError(
+                f"cycle through {attachments[0]!r} has {len(attachments)} attachment points"
+            )
+        start = attachments[0]
+        first_edge = min(
+            at[start], key=lambda e: (*_sort_key(g.other_end(e, start)), *_sort_key(e))
+        )
+        order_vertices, order_edges = cdc._traverse_cycle(g, at, start, first_edge)
+        segments: list[list] = [[]]
+        for pos, eid in enumerate(order_edges):
+            segments[-1].append(eid)
+            nxt_vertex = order_vertices[(pos + 1) % len(order_vertices)]
+            if nxt_vertex in attach_at and pos != len(order_edges) - 1:
+                segments.append([])
+        assert len(segments) == len(attachments), "one arc per attachment point"
+        for idx, seg in enumerate(segments):
+            (class_a if idx % 2 == 0 else class_b).update(seg)
+
+    cycles_a = referee_canonical_cycles(g, class_a)
+    cycles_b = referee_canonical_cycles(g, class_b)
+    cycles_a.extend(lonely_cycles)
+    return cycles_a, cycles_b
+
+
 @pytest.fixture(scope="module")
 def corpus_covers():
     """Every graph of cubic_corpus(10) with its certificate, or None where
@@ -388,6 +493,12 @@ def corpus_covers():
             report = run_pipeline(g, strategy="exhaustive")
         out.append((g, report.certificate))
     return out
+
+
+def split_cycles(g, eids):
+    """The cycle split of cdc.two_cycle_cover_even: each cycle walked once,
+    then put in canonical form."""
+    return [cdc._canonical_cycle(*walk) for walk in cdc._cycles(g, set(eids))[1]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -405,10 +516,10 @@ def test_cycle_split_matches_the_oracle(corpus_covers, data):
         expected = oracle_cycles(g, eids)
     except HypothesisError as exc:
         with pytest.raises(HypothesisError) as caught:
-            cdc._canonical_cycles(g, eids)
+            split_cycles(g, eids)
         assert str(caught.value) == str(exc)
     else:
-        assert cdc._canonical_cycles(g, eids) == expected
+        assert split_cycles(g, eids) == expected
 
 
 CORRUPTIONS = ("none", "drop", "duplicate", "merge", "unknown", "repeat", "subset")
@@ -439,6 +550,82 @@ def test_verifier_matches_the_oracle_on_corrupted_certificates(corpus_covers, da
     damaged = CdcCertificate.from_json({"classes": classes})
     new, old = verify_cdc(g, damaged), oracle_verify_cdc(g, damaged)
     assert (new.valid, new.violations, new.coverage) == (old.valid, old.violations, old.coverage)
+
+
+@pytest.fixture(scope="module")
+def cover_inputs():
+    """(host, cycle edges, matching edges) of every colour construct_6cdc
+    covers on the graphs of cubic_corpus(10) (two_factor, then exhaustive,
+    as the corpus command runs them) and on planted frames with one, two
+    and three K4 subdivisions."""
+    seen = []
+    real = cdc.two_cycle_cover_even
+
+    def record(g, cycle_edges, matching_edges):
+        seen.append((g, sorted_edge_ids(cycle_edges), sorted_edge_ids(matching_edges)))
+        return real(g, cycle_edges, matching_edges)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cdc, "two_cycle_cover_even", record)
+        for g in cubic_corpus(10):
+            if run_pipeline(g).outcome != "verified":
+                run_pipeline(g, strategy="exhaustive")
+        for k4s in (1, 2, 3):
+            for seed in range(4):
+                rng = random.Random(seed)
+                g, frame_edges = planted_host(16 * k4s + rng.choice((0, 4, 8, 12)), rng, k4s)
+                run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges)
+    return seen
+
+
+ASSEMBLY_CORRUPTIONS = ("none", "drop", "odd", "double", "overlap", "loop", "off", "degree")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_assembly_matches_the_referee(cover_inputs, data):
+    """cdc.two_cycle_cover_even returns the referee's two classes, or
+    raises its HypothesisError text, on every colour of the covers above,
+    as they are and corrupted: a matching edge dropped, a new one between
+    two unattached cycle vertices (an odd count on each cycle when they lie
+    on two), a second one at an attached vertex, a cycle edge in the
+    matching too, a loop, an endpoint off the cycles, a cycle edge
+    dropped.  The new edge's id "x" mixes a string into the integer ids."""
+    g, cycle_edges, matching = data.draw(st.sampled_from(cover_inputs))
+    cycle_edges, matching = list(cycle_edges), list(matching)
+    on_cycles = sorted_vertices(g.subgraph_of_edges(cycle_edges))
+    attached = sorted({v for e in matching for v in g.endpoints(e)}, key=_sort_key)
+    kind = data.draw(st.sampled_from(ASSEMBLY_CORRUPTIONS if cycle_edges else ("none", "drop")))
+    vertices, extra = list(g.vertices), None
+    if kind == "drop" and matching:
+        matching.remove(data.draw(st.sampled_from(matching)))
+    elif kind == "odd":
+        free = [v for v in on_cycles if v not in attached]
+        if len(free) >= 2:
+            extra = data.draw(st.lists(st.sampled_from(free), min_size=2, max_size=2, unique=True))
+    elif kind == "double" and attached:
+        extra = [data.draw(st.sampled_from(attached)), data.draw(st.sampled_from(on_cycles))]
+    elif kind == "overlap":
+        matching.append(data.draw(st.sampled_from(cycle_edges)))
+    elif kind == "loop":
+        extra = [data.draw(st.sampled_from(on_cycles))] * 2
+    elif kind == "off":
+        off = [v for v in g.vertices if v not in set(on_cycles)] or ["y"]
+        vertices += [v for v in off if not g.has_vertex(v)]
+        extra = [data.draw(st.sampled_from(on_cycles)), data.draw(st.sampled_from(off))]
+    elif kind == "degree":
+        cycle_edges.remove(data.draw(st.sampled_from(cycle_edges)))
+    if extra is not None:
+        g = Multigraph(vertices, g.edges() + [("x", *extra)])
+        matching.append("x")
+
+    def outcome(assemble):
+        try:
+            return assemble(g, cycle_edges, matching)
+        except HypothesisError as exc:
+            return str(exc)
+
+    assert outcome(cdc.two_cycle_cover_even) == outcome(referee_two_cycle_cover_even)
 
 
 # -- whole-pipeline properties ------------------------------------------------------------
@@ -484,9 +671,11 @@ def planted_host(n: int, rng: random.Random, k4s: int = 1):
             return g, list(range(len(frame)))
 
 
-# Measured at about 14 lookups per edge at both sizes.  The subgraph-based
-# assembly, which scanned per cycle, made 100 at 500 vertices and 250 at 2,000.
-LOOKUPS_PER_EDGE = 30
+# Measured at 6.3 lookups per edge at both sizes: 2.2 in construct_6cdc,
+# 4.1 in verify_cdc.  The assembly that walked every cycle twice made 13.8,
+# and the subgraph-based one, which scanned per cycle, 100 at 500 vertices
+# and 250 at 2,000.
+LOOKUPS_PER_EDGE = 8
 
 
 @pytest.mark.parametrize("n", [500, 2000])
@@ -497,7 +686,7 @@ def test_assembly_and_verification_work_is_linear(n, monkeypatch):
     g, frame_edges = planted_host(n, random.Random(n))
     f = validate_frame(g, frame_edges)
     coloring, witness = find_well_connected_frame_coloring(f)
-    f2, col2, amiable, trace = amiable_coloring_for_frame(g, f, coloring, witness)
+    f2, col2, rows, amiable, trace = amiable_coloring_for_frame(g, f, coloring, witness)
     calls = 0
     endpoints = Multigraph.endpoints
 
@@ -507,11 +696,54 @@ def test_assembly_and_verification_work_is_linear(n, monkeypatch):
         return endpoints(self, eid)
 
     monkeypatch.setattr(Multigraph, "endpoints", counted)
-    cert = construct_6cdc(g, f2, col2, amiable, trace)
+    cert = construct_6cdc(g, f2, col2, rows, amiable, trace)
     report = verify_cdc(g, cert)
     monkeypatch.undo()
     assert report.valid
     assert calls / g.num_edges() < LOOKUPS_PER_EDGE
+
+
+def test_row_graph_and_free_edges_are_derived_once(monkeypatch):
+    """One user_supplied run on a planted frame builds two row graphs, one
+    for the witness and one for the normalised frame that construct_6cdc
+    reads too, and sorts the host's edge ids for the free edges once per
+    Frame: the validated frame and its relabelled copy."""
+    from kotzigcdc import amiable, frame as frame_module, rowgraph
+
+    g, frame_edges = planted_host(400, random.Random(400), k4s=2)
+    builds = []
+    real_build = rowgraph.build_row_graph
+
+    def build(*args):
+        builds.append(args[1])
+        return real_build(*args)
+
+    for module in (frame_module, amiable, cdc, cli):
+        if getattr(module, "build_row_graph", None) is real_build:
+            monkeypatch.setattr(module, "build_row_graph", build)
+    host_sorts = []
+    real_sort = frame_module.sorted_edge_ids
+
+    def sort(eids):
+        eids = list(eids)
+        if len(eids) == g.num_edges():
+            host_sorts.append(1)
+        return real_sort(eids)
+
+    monkeypatch.setattr(frame_module, "sorted_edge_ids", sort)
+    frames = []
+    real_init = frame_module.Frame.__init__
+
+    def init(self, *args, **kwargs):
+        frames.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(frame_module.Frame, "__init__", init)
+    report = run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges)
+    monkeypatch.undo()
+    assert report.outcome == "verified"
+    assert len(builds) == 2 and builds[0] is frames[0] and builds[1] is frames[1]
+    assert len(frames) == 2 and len(host_sorts) == 2
 
 
 def planted_multi_k_hosts(seeds):
@@ -563,7 +795,7 @@ def test_folding_the_vertex_coloring_keeps_amiability():
         found = first_amiable(g, "user_supplied", frame_edges)
         if found is not None:
             built.append((g, found))
-    for g, (f2, col2, amiable, _) in built:
+    for g, (f2, col2, _, amiable, _) in built:
         r2 = build_row_graph(g, f2, cdc.fold_vertex_coloring(f2, col2, amiable))
         assert is_amiable(r2, AmiableColoring(f=identity_f(r2), g=amiable.g))
     assert len(built) == 90 + 20

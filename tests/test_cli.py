@@ -15,6 +15,7 @@ from kotzigcdc import cli
 from kotzigcdc.cli import RunReport, main, run_pipeline
 from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.io import graph_to_json, save_graph_json
+from kotzigcdc.multigraph import Multigraph
 from tests.test_cdc import planted_multi_k_hosts
 
 
@@ -61,6 +62,21 @@ def test_verify_tampered_exits_1(theta_file, tmp_path, capsys):
     assert main(["verify", str(theta_file), str(cert_path)]) == 1
     out = capsys.readouterr().out
     assert "INVALID" in out
+
+
+def test_verify_names_an_empty_cycle(theta_file, tmp_path, capsys):
+    """A certificate that lists the cycle [] is refused, and the report
+    says the cycle is empty."""
+    cert_path = tmp_path / "cert.json"
+    main(["pipeline", str(theta_file), "--certificate", str(cert_path)])
+    capsys.readouterr()
+    cert = json.loads(cert_path.read_text())
+    label = next(label for label, cycles in sorted(cert["classes"].items()) if cycles)
+    cert["classes"][label].append([])
+    cert_path.write_text(json.dumps(cert))
+    assert main(["verify", str(theta_file), str(cert_path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{label}[{len(cert['classes'][label]) - 1}] is empty" in out
 
 
 @pytest.mark.parametrize("alias", [1.0, True], ids=["float_id", "bool_id"])
@@ -480,3 +496,40 @@ def test_golden_reports():
     payload = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
     text = json.dumps(payload, sort_keys=True, default=repr)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+# Vertex and edge ids that are not all integers: every order the program
+# takes (cycles by least edge, a cycle from its least vertex, components
+# by least member) falls back to (type name, repr) on a set that does not
+# compare, and the mixed ids make one set fall back while a subset of it
+# does not.
+NON_INTEGER_IDS = {
+    "str": (lambda v: f"v{v}", lambda e: f"e{e}"),
+    "tuple": (lambda v: (v % 3, v), lambda e: (e % 4, e)),
+    "mixed": (lambda v: f"v{v}" if v % 5 == 0 else v, lambda e: f"e{e}" if e % 7 == 0 else e),
+}
+
+# sha256 of the reports of test_golden_reports_on_non_integer_ids, without
+# their seconds, pinned like GOLDEN_REPORTS_SHA256.
+GOLDEN_NON_INTEGER_SHA256 = "c217c75daefb5777685ae600a0da60f66b11a818d8b4bd85025229fd95a64db8"
+
+
+def test_golden_reports_on_non_integer_ids():
+    """Seeded frames with two or three K4 subdivisions, their vertex and
+    edge ids renamed to strings, tuples and a mix of ints and strings,
+    report exactly what they reported when the digest was pinned."""
+    reports = []
+    for kind, (vertex, edge) in NON_INTEGER_IDS.items():
+        for g, frame_edges in planted_multi_k_hosts(range(10)):
+            h = Multigraph(
+                [vertex(v) for v in g.vertices],
+                [(edge(k), vertex(a), vertex(b)) for k, a, b in g.edges()],
+            )
+            reports.append(run_pipeline(
+                h, name=kind, strategy="user_supplied",
+                frame_edges=[edge(k) for k in frame_edges], collect_trace=True,
+            ))
+    assert all(r.outcome == "verified" for r in reports)
+    payload = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+    text = json.dumps(payload, default=repr)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NON_INTEGER_SHA256

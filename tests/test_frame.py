@@ -14,12 +14,12 @@ from kotzigcdc.frame import (
     C_KIND,
     K_KIND,
     Frame,
+    FrameComponent,
     PerfectColoring,
     Witness,
     enumerate_frame_colorings,
     even_two_factors,
     find_well_connected_frame_coloring,
-    frame_from_json,
     frame_to_json,
     is_perfect_coloring,
     search_frames,
@@ -27,6 +27,7 @@ from kotzigcdc.frame import (
     well_connected_witness,
 )
 from kotzigcdc.io import parse_graph6
+from kotzigcdc.kotzig import CYCLE, classify_component
 from kotzigcdc.multigraph import (
     Multigraph,
     bridges,
@@ -109,7 +110,7 @@ def test_validate_prism_cycle_frame():
     assert [c.kind for c in f.components] == [C_KIND]
     # the other three edges all have both ends on the cycle
     assert len(f.chords) == 3
-    assert f.free_edges() == []
+    assert f.free_edges == ()
 
 
 def test_validate_matching_rejected():
@@ -674,6 +675,37 @@ def test_every_searched_frame_validates():
         for f in search_frames(g, "two_factor"):
             revalidated = validate_frame(g, f.frame_edges)
             assert revalidated.chords == f.chords
+
+
+def validate_labeled(g, frame_edges, labeling):
+    """validate_frame's frame with its components in the order labeling
+    lists their vertex sets, labelled 1, 2, ...  Each component is built
+    afresh from its vertices, the frame edges among them and their
+    classification, not by relabelling the components validate_frame
+    returns."""
+    frame = validate_frame(g, frame_edges)
+    parts = [frozenset(part) for part in labeling]
+    if len(parts) != frame.s or set(parts) != {frozenset(c.vertices) for c in frame.components}:
+        raise FrameError("labeling does not match the frame components")
+    comps = []
+    for label, part in enumerate(parts, start=1):
+        vertices = tuple(sorted(part, key=lambda v: (str(type(v)), repr(v))))
+        eids = tuple(e for e in sorted_edge_ids(frame.frame_edges) if g.endpoints(e)[0] in part)
+        piece = g.subgraph_of_edges(eids, keep_vertices=vertices)
+        cls = classify_component(piece)
+        kind = C_KIND if cls.kind == CYCLE else K_KIND
+        comps.append(FrameComponent(label, kind, vertices, eids, cls, piece))
+    return Frame(host=g, frame_edges=frame.frame_edges, components=tuple(comps))
+
+
+def frame_from_json(g, obj):
+    """The frame frame_to_json wrote, its components labelled as written;
+    the chord set in the file must match the recomputed one."""
+    labeling = [comp["vertices"] for comp in sorted(obj["components"], key=lambda c: c["label"])]
+    frame = validate_labeled(g, obj["frame_edges"], labeling)
+    if sorted_edge_ids(frame.chords) != sorted_edge_ids(obj.get("chords", frame.chords)):
+        raise FrameError("chord set in file does not match the recomputed chords")
+    return frame
 
 
 def test_frame_json_round_trip():

@@ -33,6 +33,7 @@ from tests.test_frame import (
     cube_two_squares_frame,
     monochromatic_coloring,
     prism_hamiltonian_frame,
+    validate_labeled,
 )
 
 
@@ -184,7 +185,7 @@ def test_identical_row_graph_from_recolored_frame():
         target = rearr.apply(r)
         order = sorted(range(1, f.s + 1), key=lambda j: rearr.column_perm[j])
         labeling = [f.components[j - 1].vertices for j in order]
-        relabeled = validate_frame(g, f.frame_edges, labeling=labeling)
+        relabeled = validate_labeled(g, f.frame_edges, labeling)
         recolored = permute_component_colors(f, coloring, rearr.row_perms)
         rebuilt = build_row_graph(g, relabeled, recolored)
         assert edge_signature(rebuilt) == edge_signature(target)
