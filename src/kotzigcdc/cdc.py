@@ -181,7 +181,9 @@ def two_cycle_cover_even(
     across: dict = {}  # attachment vertex -> (its matching edge, the far end)
     for eid in matching_edges:
         a, b = g.endpoints(eid)
-        for v, w in ((a, b), (b, a)):  # a loop meets its own first end
+        if a == b:
+            raise HypothesisError(f"matching edge {eid!r} is a loop")
+        for v, w in ((a, b), (b, a)):
             if v not in at:
                 raise HypothesisError(f"matching edge {eid!r} endpoint {v!r} misses the cycles")
             if v in across:

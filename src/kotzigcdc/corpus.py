@@ -13,31 +13,47 @@ complete up to 10 and counted complete at 12 and 14 against A005967
 (509 and 3,608 graphs).  At every order up to 14 the tests also check the
 mass formula: the sum of n!/|Aut(G)| over the classes is the number of
 labelled graphs, so no class is missing or doubled.  Above
-MAX_COMPLETE_ORDER it refuses with OracleLimitError.  Isomorphism
-reduction keeps the first candidate of each exact canonical form.
+MAX_COMPLETE_ORDER it refuses with OracleLimitError.
+
+Candidates are the integer edge triples (id, i, j) on 0..n-1, and they
+stream into the dedupe; a Multigraph is built only for a kept graph.  The
+dedupe keeps the first candidate of each isomorphism class.  It holds one
+set: the key of every discrete leaf that the search of a kept graph visits,
+a key being the leaf's sorted (i, j, multiplicity) triples.  A candidate's
+search stops at its first leaf when that key is in the set, so a duplicate
+costs one path from the root to a leaf, and only a new class is searched
+to the end.  This is exact, for three reasons:
+
+- the search tree does not depend on labels, so isomorphic graphs have
+  the same set of leaf keys;
+- the pruning skips only leaves that are automorphic images of visited
+  leaves, and those leaves have equal keys;
+- equal keys at discrete leaves mean the graphs are isomorphic.
 
 Only one edge pair per automorphism orbit of each parent is expanded
 (McKay, "Isomorph-free exhaustive generation", 1998).  An automorphism that
 maps one pair onto another makes their children isomorphic, and so do
 parallel edges, which can be swapped: a pair is keyed by the multiset of
 its two end pairs and whether it names one edge twice.  The parent's group
-comes from the canonical-form search for free: that search skips every
+comes for free from the search that kept it: that search skips every
 branch that an automorphism it has already found maps from a searched one,
 and the automorphisms it finds on the way generate the whole group
-(McKay, "Practical graph isomorphism", 1981).  A pair left unexpanded
-gives a child isomorphic to an earlier child of the same parent, and the
-dedupe keeps the first candidate of each class, so the corpus is the same,
-graph for graph and edge for edge, as when every pair is expanded.
+(McKay, "Practical graph isomorphism", 1981).  The generators live in the
+value that connected_cubic_multigraphs caches, so clearing that cache
+leaves every level cold.  A pair left unexpanded gives a child isomorphic
+to an earlier child of the same parent, and the dedupe keeps the first
+candidate of each class, so the corpus is the same, graph for graph and
+edge for edge, as when every pair is expanded.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from typing import Container, Iterable, Iterator
 
 from .catalog import theta_graph
 from .errors import ConstructionInvariantError, OracleLimitError
-from .multigraph import Multigraph, is_connected
+from .multigraph import Multigraph
 
 MAX_COMPLETE_ORDER = 14  # the largest order whose count is checked against A005967
 
@@ -75,23 +91,22 @@ def _orbit(seeds: list[int], perms: list[list[int]]) -> set[int]:
     return orbit
 
 
-def _search(g: Multigraph) -> tuple[tuple, list[list[int]]]:
-    """The pruned individualisation-refinement search behind canonical_form
-    and automorphisms.
+def _search(n: int, edges: Iterable[tuple], seen: Container = ()) -> tuple | None:
+    """The pruned individualisation-refinement search behind canonical_form,
+    automorphisms and the corpus dedupe, on the edge triples (id, i, j) of
+    a multigraph on the vertices 0..n-1.
 
-    Returns the form and generators of Aut(g); a generator p maps vertex
-    g.vertices[i] to g.vertices[p[i]].
+    Returns the best leaf key, the set of every leaf key visited and
+    generators of Aut; a generator p maps vertex i to p[i].  Returns None
+    as soon as the first leaf's key is in seen.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(index)
     adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for _, a, b in g.edges():
-        i, j = index[a], index[b]
+    for _, i, j in edges:
         adj[i][j] = adj[i].get(j, 0) + 1
         if i != j:
             adj[j][i] = adj[j].get(i, 0) + 1
     nbrs = [tuple(d.items()) for d in adj]
-    edges = [(i, j, m) for i, d in enumerate(adj) for j, m in d.items() if i <= j]
+    pairs = [(i, j, m) for i, d in enumerate(adj) for j, m in d.items() if i <= j]
 
     # distance profiles: balls[i] is the bit mask of the vertices within
     # the current radius of i, and every round widens all balls by one
@@ -112,18 +127,20 @@ def _search(g: Multigraph) -> tuple[tuple, list[list[int]]]:
         balls = wider
 
     gens: list[list[int]] = []
+    keys: set[tuple] = set()
     first = best = None  # (key, colouring, path) of the first and the best leaf
 
     def search(colour: list, path: tuple) -> int:
         """Search below the node reached by individualising path; return
-        the depth the search resumes at, less than len(path) to jump back."""
+        the depth the search resumes at, less than len(path) to jump back
+        (-1 to stop)."""
         nonlocal first, best
         colour = _refine(colour, nbrs)
         if len(set(colour)) == n:
-            key = sorted([
+            key = tuple(sorted([
                 (colour[i], colour[j], m) if colour[i] < colour[j] else (colour[j], colour[i], m)
-                for i, j, m in edges
-            ])
+                for i, j, m in pairs
+            ]))
             for end in (first, best):
                 if end and key == end[0]:
                     label = [0] * n
@@ -134,9 +151,12 @@ def _search(g: Multigraph) -> tuple[tuple, list[list[int]]]:
                     # the one already searched down to end
                     return next(d for d, (u, w) in enumerate(zip(path, end[2])) if u != w)
             if first is None:
+                if key in seen:
+                    return -1
                 first = best = (key, colour, path)
             elif key < best[0]:
                 best = (key, colour, path)
+            keys.add(key)
             return len(path)
         size: dict[int, int] = {}
         for c in colour:
@@ -154,8 +174,15 @@ def _search(g: Multigraph) -> tuple[tuple, list[list[int]]]:
                 return depth
         return len(path)
 
-    search([(tuple(p), tuple(sorted(d.values()))) for p, d in zip(profiles, adj)], ())
-    return (n, tuple(best[0])), gens
+    if search([(tuple(p), tuple(sorted(d.values()))) for p, d in zip(profiles, adj)], ()) < 0:
+        return None
+    return best[0], keys, gens
+
+
+def _indexed(g: Multigraph) -> list[tuple]:
+    """g's edges as triples on the positions of its vertices."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return [(e, index[a], index[b]) for e, a, b in g.edges()]
 
 
 def canonical_form(g: Multigraph) -> tuple:
@@ -182,7 +209,7 @@ def canonical_form(g: Multigraph) -> tuple:
     Either way the skipped leaves copy searched ones, so the minimum is
     kept.
     """
-    return _search(g)[0]
+    return (g.num_vertices(), _search(g.num_vertices(), _indexed(g))[0])
 
 
 def automorphisms(g: Multigraph) -> list[dict]:
@@ -200,7 +227,7 @@ def automorphisms(g: Multigraph) -> list[dict]:
     v1..vk at every k, and at k = 0 that is Aut(g).
     """
     verts = list(g.vertices)
-    _, gens = _search(g)
+    gens = _search(len(verts), _indexed(g))[2]
     group = [tuple(range(len(verts)))]
     seen = set(group)
     for p in group:
@@ -212,36 +239,26 @@ def automorphisms(g: Multigraph) -> list[dict]:
     return [{v: verts[i] for v, i in zip(verts, p)} for p in group]
 
 
-def _renumber(edges: list[tuple]) -> Multigraph:
-    verts = sorted({v for _, a, b in edges for v in (a, b)})
-    names = {v: i for i, v in enumerate(verts)}
-    return Multigraph(
-        range(len(verts)), [(i, names[a], names[b]) for i, (_, a, b) in enumerate(edges)]
-    )
-
-
-def insert_edge_pair(g: Multigraph, e1, e2) -> Multigraph:
-    """Subdivide e1 and e2 and join the two new vertices (e1 == e2 allowed)."""
-    n = g.num_vertices()
-    a, b = n, n + 1
-    edges = []
-    nid = itertools.count()
-    for eid, x, y in g.edges():
+def insert_edge_pair(edges: list[tuple], e1, e2) -> list[tuple]:
+    """Subdivide edges e1 and e2 of a cubic multigraph on 0..n-1, given as
+    its edge triples (id, a, b), and join the two new vertices n and n + 1
+    (e1 == e2 allowed).  The result's triples are numbered 0, 1, ... in
+    order."""
+    a = len(edges) * 2 // 3
+    b = a + 1
+    out = []
+    for eid, x, y in edges:
         if eid == e1 and eid == e2:
             # two new vertices on the same edge, adjacent along it
-            edges.append((next(nid), x, a))
-            edges.append((next(nid), a, b))
-            edges.append((next(nid), b, y))
+            out += ((x, a), (a, b), (b, y))
         elif eid == e1:
-            edges.append((next(nid), x, a))
-            edges.append((next(nid), a, y))
+            out += ((x, a), (a, y))
         elif eid == e2:
-            edges.append((next(nid), x, b))
-            edges.append((next(nid), b, y))
+            out += ((x, b), (b, y))
         else:
-            edges.append((next(nid), x, y))
-    edges.append((next(nid), a, b))
-    return _renumber(edges)
+            out.append((x, y))
+    out.append((a, b))
+    return [(i, x, y) for i, (x, y) in enumerate(out)]
 
 
 def balloon_flower() -> Multigraph:
@@ -279,49 +296,97 @@ def balloon_h() -> Multigraph:
     return Multigraph(range(14), edges)
 
 
-def _dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
-    """The first graph of each isomorphism class, in input order."""
+def _dedupe(candidates: Iterable[list[tuple]]) -> list[tuple[list[tuple], list[list[int]]]]:
+    """The first of each isomorphism class of cubic candidates, each given
+    as its edge triples on 0..n-1, in input order, with generators of its
+    automorphism group.
+
+    One set holds the key of every leaf that the search of a kept graph
+    visits, and a candidate's search stops at its first leaf when that key
+    is in the set.  This is exact.  The search tree does not depend on
+    labels, so isomorphic graphs have the same set of leaf keys.  The
+    pruning skips only leaves that are automorphic images of visited
+    leaves, and those have equal keys, so the set holds every key of every
+    kept class.  Equal keys at discrete leaves mean isomorphic graphs.  So
+    a duplicate costs one path from the root to a leaf, and only a new
+    class is searched to the end.
+    """
+    seen: set[tuple] = set()
+    kept = []
+    for edges in candidates:
+        found = _search(len(edges) * 2 // 3, edges, seen)
+        if found is not None:
+            seen |= found[1]
+            kept.append((edges, found[2]))
+    return kept
+
+
+def _pair_representatives(edges: list[tuple], gens: list[list[int]]) -> Iterator[tuple]:
+    """One edge pair (e1, e2), e1 at or before e2 in edges, per orbit of
+    the group generated by gens, each the first of its orbit.  A pair is
+    keyed by the multiset of its two end pairs and whether it names one
+    edge twice, since parallel edges can be swapped."""
+    ends = [(eid, (a, b) if a <= b else (b, a)) for eid, a, b in edges]
     seen = set()
-    out = []
-    for g in graphs:
-        form = canonical_form(g)
-        if form not in seen:
-            seen.add(form)
-            out.append(g)
-    return out
+    for i, (e1, end1) in enumerate(ends):
+        for e2, end2 in ends[i:]:
+            pair = (*sorted((end1, end2)), e1 == e2)
+            if pair in seen:
+                continue
+            seen.add(pair)
+            stack = [pair]
+            while stack:
+                (a, b), (c, d), same = stack.pop()
+                for p in gens:
+                    x = (p[a], p[b]) if p[a] <= p[b] else (p[b], p[a])
+                    y = (p[c], p[d]) if p[c] <= p[d] else (p[d], p[c])
+                    image = (x, y, same) if x <= y else (y, x, same)
+                    if image not in seen:
+                        seen.add(image)
+                        stack.append(image)
+            yield e1, e2
 
 
-def _candidates(n: int) -> list[Multigraph]:
+def _check_candidate(n: int, edges: list[tuple]) -> list[tuple]:
+    """edges, if they form a connected loopless cubic multigraph on
+    0..n-1; ConstructionInvariantError otherwise."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for _, a, b in edges:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            break
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    else:
+        reached = {0}
+        stack = [0]
+        while stack:
+            for w in nbrs[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) == n and all(len(nb) == 3 for nb in nbrs):
+            return edges
+    raise ConstructionInvariantError(
+        f"an expansion to {n} vertices is not a connected loopless cubic multigraph"
+    )
+
+
+# the graphs on n vertices that no expansion reaches
+_IRREDUCIBLE = {2: theta_graph, 6: balloon_flower, 10: balloon_star, 14: balloon_h}
+
+
+def _candidates(n: int) -> Iterator[list[tuple]]:
     """One expansion per automorphism orbit of edge pairs of every graph on
-    n - 2 vertices, in generation order, then the gadget tree injected at n
-    (n >= 4, even)."""
-    candidates: list[Multigraph] = []
-    for parent in connected_cubic_multigraphs(n - 2):
-        group = automorphisms(parent)
-        ends = {e: tuple(sorted(parent.endpoints(e))) for e in parent.edge_ids}
-        eids = list(ends)
-        seen = set()
-        for i, e1 in enumerate(eids):
-            for e2 in eids[i:]:
-                pair = (*sorted((ends[e1], ends[e2])), e1 == e2)
-                if pair in seen:
-                    continue
-                for sigma in group:
-                    image = sorted(tuple(sorted((sigma[a], sigma[b]))) for a, b in pair[:2])
-                    seen.add((*image, pair[2]))
-                candidates.append(insert_edge_pair(parent, e1, e2))
-    if n == 6:
-        candidates.append(balloon_flower())
-    if n == 10:
-        candidates.append(balloon_star())
-    if n == 14:
-        candidates.append(balloon_h())
-    for g in candidates:
-        if not g.is_cubic() or g.has_loops() or not is_connected(g):
-            raise ConstructionInvariantError(
-                f"an expansion to {n} vertices is not a connected loopless cubic multigraph"
-            )
-    return candidates
+    n - 2 vertices, in generation order, then the graph no expansion
+    reaches, if any (n >= 2, even); each as its edge triples on 0..n-1."""
+    if n > 2:
+        level = connected_cubic_multigraphs(n - 2)
+        for parent, gens in zip(level, level.generators):
+            edges = parent.edges()
+            for e1, e2 in _pair_representatives(edges, gens):
+                yield _check_candidate(n, insert_edge_pair(edges, e1, e2))
+    if n in _IRREDUCIBLE:
+        yield _check_candidate(n, _IRREDUCIBLE[n]().edges())
 
 
 def _check_order(n: int) -> None:
@@ -332,6 +397,13 @@ def _check_order(n: int) -> None:
         )
 
 
+class _Level(tuple):
+    """The graphs on one order, with generators of each one's automorphism
+    group, as the search that kept it found them."""
+
+    generators: list[list[list[int]]]
+
+
 @lru_cache(maxsize=None)
 def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
     """All connected cubic loopless multigraphs on n vertices, up to
@@ -339,9 +411,10 @@ def connected_cubic_multigraphs(n: int) -> tuple[Multigraph, ...]:
     _check_order(n)
     if n <= 0 or n % 2 != 0:
         return ()
-    if n == 2:
-        return (theta_graph(),)
-    return tuple(_dedupe(_candidates(n)))
+    kept = _dedupe(_candidates(n))
+    level = _Level(Multigraph(range(n), edges) for edges, _ in kept)
+    level.generators = [gens for _, gens in kept]
+    return level
 
 
 def is_simple(g: Multigraph) -> bool:

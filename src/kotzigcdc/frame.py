@@ -12,7 +12,6 @@ c.  The well-connected witness is read off its rows.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -240,19 +239,38 @@ def assemble_coloring(fragments: dict[int, tuple[dict, dict]]) -> PerfectColorin
 
 def enumerate_frame_colorings(f: Frame) -> Iterator[PerfectColoring]:
     """Product of per-component perfect colorings, with the first searched
-    component pinned up to global color permutation."""
+    component pinned up to global color permutation, in the order of
+    itertools.product.  Each component's colorings are drawn only as far
+    as the product has reached, so the first coloring costs the first
+    fragment of each component."""
     order = _component_order_for_search(f)
-    choice_lists = []
-    for pos, comp in enumerate(order):
-        frags = list(
-            enumerate_perfect_colorings(
-                comp.piece, comp.classification, representatives=(pos == 0)
-            )
-        )
-        choice_lists.append((comp.label, frags))
-    labels = [label for label, _ in choice_lists]
-    for combo in itertools.product(*(frags for _, frags in choice_lists)):
-        yield assemble_coloring(dict(zip(labels, combo)))
+    labels = [comp.label for comp in order]
+    streams = [
+        enumerate_perfect_colorings(comp.piece, comp.classification, representatives=(pos == 0))
+        for pos, comp in enumerate(order)
+    ]
+    drawn: list[list] = [[] for _ in order]
+    pick = [0] * len(order)  # an odometer over drawn, the last digit fastest
+    k = 0
+    while True:
+        if k == len(order):
+            yield assemble_coloring({label: drawn[j][pick[j]] for j, label in enumerate(labels)})
+            k -= 1
+            if k < 0:
+                return
+            pick[k] += 1
+        elif pick[k] < len(drawn[k]):
+            k += 1
+        else:
+            frag = next(streams[k], None)
+            if frag is not None:
+                drawn[k].append(frag)
+            elif k == 0 or pick[k] == 0:
+                return
+            else:
+                pick[k] = 0
+                k -= 1
+                pick[k] += 1
 
 
 def find_well_connected_frame_coloring(f: Frame) -> tuple[PerfectColoring, Witness] | None:

@@ -53,7 +53,11 @@ def _bit_stream(data: bytes, pos: int):
 
 
 def parse_graph6(line: str | bytes) -> Multigraph:
-    """Parse one graph6 line into a simple graph with integer vertices."""
+    """Parse one graph6 line into a simple graph with integer vertices.
+
+    The data must end with the byte that holds the last bit of the
+    adjacency matrix, and the padding bits after that bit must be 0.
+    """
     data = line.encode("ascii") if isinstance(line, str) else line
     data = data.strip()
     if data.startswith(_G6_HEADER.encode()):
@@ -61,6 +65,14 @@ def parse_graph6(line: str | bytes) -> Multigraph:
     if data.startswith(b":"):
         raise GraphFormatError("input is sparse6, not graph6")
     n, pos = _decode_number(data, 0)
+    matrix_bits = n * (n - 1) // 2
+    extra = len(data) - pos - (matrix_bits + 5) // 6
+    if extra > 0:
+        raise GraphFormatError(f"graph6 data runs {extra} bytes past the adjacency matrix")
+    padding = -matrix_bits % 6
+    last = data[-1] - 63
+    if extra == 0 and padding and 0 <= last <= 63 and last & ((1 << padding) - 1):
+        raise GraphFormatError("graph6 padding bits are not 0")
     bits = _bit_stream(data, pos)
     edges = []
     eid = 0

@@ -111,6 +111,12 @@ def test_two_cycle_cover_double_attachment_rejected():
         two_cycle_cover_even(g, {0, 1, 2, 3}, {4, 5})
 
 
+def test_two_cycle_cover_loop_rejected():
+    g = Multigraph(range(4), [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0), (4, 0, 2), (5, 1, 1)])
+    with pytest.raises(HypothesisError, match="matching edge 5 is a loop"):
+        two_cycle_cover_even(g, {0, 1, 2, 3}, {4, 5})
+
+
 def test_two_cycle_cover_coverage_structure():
     # two squares joined by a matching of two rungs
     g = cube_graph()
@@ -440,14 +446,14 @@ def referee_two_cycle_cover_even(g, cycle_edges, matching_edges):
     at, cycles = referee_cycle_components(g, cycle_edges)
     attach_at: dict = {}
     for eid in matching_edges:
+        if g.is_loop(eid):
+            raise HypothesisError(f"matching edge {eid!r} is a loop")
         for v in g.endpoints(eid):
             if v not in at:
                 raise HypothesisError(f"matching edge {eid!r} endpoint {v!r} misses the cycles")
             if v in attach_at:
                 raise HypothesisError(f"vertex {v!r} carries two attachment edges")
             attach_at[v] = eid
-        if g.is_loop(eid):
-            raise HypothesisError(f"matching edge {eid!r} is a loop")
 
     class_a: set = set(matching_edges)
     class_b: set = set(matching_edges)

@@ -138,6 +138,13 @@ def assert_one_input_error_line(capsys):
     return err[0]
 
 
+def test_pipeline_on_graph6_with_data_past_the_matrix(tmp_path, capsys):
+    bad = tmp_path / "k4_and_more.g6"
+    bad.write_text("C~~~~~\n")
+    assert main(["pipeline", str(bad)]) == 3
+    assert "past the adjacency matrix" in assert_one_input_error_line(capsys)
+
+
 def test_pipeline_vertices_not_a_list(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"vertices": 5, "edges": []}))

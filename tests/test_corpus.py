@@ -202,7 +202,8 @@ def test_pruned_search_matches_the_unpruned_tree():
     """The same form and the same group, identity first and no repeats, on
     every candidate up to 10 vertices."""
     for n in range(4, 11, 2):
-        for g in _candidates(n):
+        for edges in _candidates(n):
+            g = Multigraph(range(n), edges)
             assert canonical_form(g) == best_leaves(g)[0]
             group = [tuple(sorted(sigma.items())) for sigma in automorphisms(g)]
             oracle = [tuple(sorted(sigma.items())) for sigma in oracle_automorphisms(g)]
@@ -211,17 +212,36 @@ def test_pruned_search_matches_the_unpruned_tree():
             assert sorted(group) == sorted(oracle)
 
 
-def test_pruning_cuts_the_search(monkeypatch):
-    """A cold cubic_corpus(10) refines 5,755 times on the whole tree, 3,742
-    times with the back-jumps alone, 3,298 with the orbit pruning alone and
-    3,208 with both; the bound fails without either."""
+def cold_refinements(monkeypatch, runs: int) -> list[int]:
+    """_refine calls in each of runs cubic_corpus(10) calls, each after
+    cache_clear() on a fresh cache of connected_cubic_multigraphs."""
     calls = []
     real = corpus._refine
     monkeypatch.setattr(corpus, "_refine", lambda colour, nbrs: calls.append(1) or real(colour, nbrs))
     cold = lru_cache(maxsize=None)(corpus.connected_cubic_multigraphs.__wrapped__)
     monkeypatch.setattr(corpus, "connected_cubic_multigraphs", cold)
-    assert len(cubic_corpus(10)) == 120
-    assert len(calls) <= 3250
+    counts = []
+    for _ in range(runs):
+        cold.cache_clear()
+        calls.clear()
+        assert len(cubic_corpus(10)) == 120
+        counts.append(len(calls))
+    return counts
+
+
+def test_pruning_cuts_the_search(monkeypatch):
+    """A cold cubic_corpus(10) refines 5,755 times on the whole tree, 3,742
+    times with the back-jumps alone, 3,298 with the orbit pruning alone and
+    3,208 with both, when every candidate is searched to the end.  Stopping
+    each duplicate at its first leaf brings it to 1,879."""
+    assert cold_refinements(monkeypatch, 1)[0] <= 1900
+
+
+def test_generation_stays_cold_after_the_cache_is_cleared(monkeypatch):
+    """The generators each level hands to the next live in the cached
+    value, so a cleared cache searches every level again."""
+    first, second = cold_refinements(monkeypatch, 2)
+    assert first == second
 
 
 def all_expansions(n: int) -> list[Multigraph]:
@@ -230,13 +250,14 @@ def all_expansions(n: int) -> list[Multigraph]:
     for _candidates, which expands one pair per automorphism orbit."""
     candidates = []
     for parent in connected_cubic_multigraphs(n - 2):
+        edges = parent.edges()
         eids = list(parent.edge_ids)
         for i, e1 in enumerate(eids):
             for e2 in eids[i:]:
-                candidates.append(insert_edge_pair(parent, e1, e2))
+                candidates.append(insert_edge_pair(edges, e1, e2))
     gadget_trees = {6: balloon_flower, 10: balloon_star, 14: balloon_h}
     if n in gadget_trees:
-        candidates.append(gadget_trees[n]())
+        candidates.append(gadget_trees[n]().edges())
     return candidates
 
 
@@ -261,8 +282,8 @@ def test_orbit_expansion_keeps_the_dedupe():
     """Expanding one edge pair per orbit keeps the same graphs, in the same
     order, as expanding every pair."""
     for n in range(4, 13, 2):
-        pruned = [g.edges() for g in _dedupe(_candidates(n))]
-        assert pruned == [g.edges() for g in _dedupe(all_expansions(n))]
+        pruned = [edges for edges, _ in _dedupe(_candidates(n))]
+        assert pruned == [edges for edges, _ in _dedupe(all_expansions(n))]
 
 
 def test_orbit_expansion_prunes(monkeypatch):
@@ -272,17 +293,70 @@ def test_orbit_expansion_prunes(monkeypatch):
     monkeypatch.setattr(
         corpus, "insert_edge_pair", lambda g, e1, e2: calls.append(g) or real(g, e1, e2)
     )
-    assert len(_candidates(10)) == len(calls) + 1  # plus balloon_star
+    assert len(list(_candidates(10))) == len(calls) + 1  # plus balloon_star
     # 430 orbits of edge pairs over the 20 graphs on 8 vertices; all pairs are 1,560
     assert 400 <= len(calls) <= 470
+
+
+def positions(kept: list, items: list) -> list[int]:
+    """The positions in items of the objects in kept."""
+    ids = {id(x) for x in kept}
+    return [k for k, x in enumerate(items) if id(x) in ids]
+
+
+def kept_positions(candidates: list[list[tuple]]) -> list[int]:
+    return positions([edges for edges, _ in _dedupe(candidates)], candidates)
+
+
+def form_dedupe(graphs: list[Multigraph]) -> list[Multigraph]:
+    """The first graph of each canonical form, in input order: the dedupe
+    that searches every candidate to the end, kept as the referee for the
+    one that stops a duplicate at its first leaf."""
+    seen = set()
+    out = []
+    for g in graphs:
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
+            out.append(g)
+    return out
 
 
 def test_dedupe_matches_vf2_dedupe_up_to_10():
     for n in range(4, 11, 2):
         candidates = all_expansions(n)
-        kept, oracle = _dedupe(candidates), vf2_dedupe(candidates)
-        assert len(kept) == len(oracle)
-        assert all(a is b for a, b in zip(kept, oracle))
+        graphs = [Multigraph(range(n), edges) for edges in candidates]
+        assert kept_positions(candidates) == positions(vf2_dedupe(graphs), graphs)
+
+
+def test_dedupe_matches_the_form_dedupe():
+    """The same positions kept on every candidate list up to 12 and on the
+    labelled graphs on 6 vertices, where each class comes many times over
+    in many labellings."""
+    lists = [(n, list(_candidates(n))) for n in range(2, 13, 2)]
+    lists.append((6, [g.edges() for g in labelled_cubic_multigraphs(6)]))
+    for n, candidates in lists:
+        graphs = [Multigraph(range(n), edges) for edges in candidates]
+        assert kept_positions(candidates) == positions(form_dedupe(graphs), graphs)
+
+
+CORPUS_DIGESTS = {
+    10: "eff18cd06004479a7e58314c23cb6377738fed18c2e0cc2b5aa9efdfcd7ea2f1",
+    12: "0189dfe3a481eea0da74152e972b59089f278afd39cc3db908eceea7a6b9c5cf",
+}
+
+
+def corpus_digest(n: int) -> str:
+    plain = [(list(g.vertices), g.edges()) for g in cubic_corpus(n)]
+    return hashlib.sha256(repr(plain).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(CORPUS_DIGESTS))
+def test_corpus_digest(n):
+    """The graphs, their order, their vertex lists and their edge triples,
+    pinned as the generator that searched every candidate to the end made
+    them."""
+    assert corpus_digest(n) == CORPUS_DIGESTS[n]
 
 
 def test_corpus_does_not_depend_on_the_hash_seed():
@@ -299,8 +373,7 @@ def test_corpus_does_not_depend_on_the_hash_seed():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         digests.append(out.stdout.strip())
-    plain = [(list(g.vertices), g.edges()) for g in cubic_corpus(8)]
-    assert digests == [hashlib.sha256(repr(plain).encode()).hexdigest()] * 2
+    assert digests == [corpus_digest(8)] * 2
 
 
 def test_known_simple_counts():
@@ -361,7 +434,7 @@ def labelled_cubic_multigraphs(n: int) -> list[Multigraph]:
 
 def brute_force_cubic_multigraphs(n: int) -> list[Multigraph]:
     """Independent slow enumeration for cross-checking small levels."""
-    return _dedupe(labelled_cubic_multigraphs(n))
+    return form_dedupe(labelled_cubic_multigraphs(n))
 
 
 def _splits(caps: tuple, d: int):
@@ -459,13 +532,13 @@ def test_a_bad_expansion_raises(monkeypatch):
     connected_cubic_multigraphs(4)
     two_thetas = Multigraph(range(4), [(i, i // 3 * 2, i // 3 * 2 + 1) for i in range(6)])
     assert two_thetas.is_cubic() and not is_connected(two_thetas)
-    monkeypatch.setattr(corpus, "insert_edge_pair", lambda g, e1, e2: two_thetas)
+    monkeypatch.setattr(corpus, "insert_edge_pair", lambda g, e1, e2: two_thetas.edges())
     with pytest.raises(ConstructionInvariantError, match="6 vertices"):
-        _candidates(6)
+        list(_candidates(6))
 
 
 def test_insert_edge_pair_same_edge_gives_digon():
-    g = insert_edge_pair(theta_graph(), 0, 0)
+    g = Multigraph(range(4), insert_edge_pair(theta_graph().edges(), 0, 0))
     assert g.num_vertices() == 4 and g.is_cubic()
     assert not is_simple(g)
 

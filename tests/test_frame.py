@@ -27,7 +27,7 @@ from kotzigcdc.frame import (
     well_connected_witness,
 )
 from kotzigcdc.io import parse_graph6
-from kotzigcdc.kotzig import CYCLE, classify_component
+from kotzigcdc.kotzig import CYCLE, classify_component, enumerate_perfect_colorings
 from kotzigcdc.multigraph import (
     Multigraph,
     bridges,
@@ -451,6 +451,35 @@ def test_three_k_triangle_has_no_witness():
     assert [c.kind for c in f.components] == [K_KIND] * 3
     # exhaustive over all perfect colorings: absence is a definite answer
     assert find_well_connected_frame_coloring(f) is None
+
+
+def listed_frame_colorings(f: Frame):
+    """enumerate_frame_colorings as it was before it drew each component's
+    colorings lazily: every list first, then itertools.product."""
+    order = frame_module._component_order_for_search(f)
+    choice_lists = []
+    for pos, comp in enumerate(order):
+        frags = list(
+            enumerate_perfect_colorings(
+                comp.piece, comp.classification, representatives=(pos == 0)
+            )
+        )
+        choice_lists.append((comp.label, frags))
+    labels = [label for label, _ in choice_lists]
+    for combo in itertools.product(*(frags for _, frags in choice_lists)):
+        yield frame_module.assemble_coloring(dict(zip(labels, combo)))
+
+
+def test_lazy_frame_colorings_keep_the_product_order():
+    frames = [
+        validate_frame(double_theta_graph(), range(10)),
+        validate_frame(triple_theta_triangle(), range(15)),
+        cube_two_squares_frame()[1],
+    ]
+    for f in frames:
+        lazy = list(enumerate_frame_colorings(f))
+        assert len(lazy) > 1
+        assert lazy == list(listed_frame_colorings(f))
 
 
 # -- sufficiency conditions -----------------------------------------------------

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -63,6 +65,41 @@ def test_sparse6_multigraph():
     h.add_edges_from([(0, 1), (0, 1), (1, 2), (2, 2)])
     mine = parse_sparse6(nx.to_sparse6_bytes(h, header=False))
     assert edge_set(mine) == [(0, 1), (0, 1), (1, 2), (2, 2)]
+
+
+def test_graph6_rejects_data_past_the_matrix():
+    assert parse_graph6("C~").num_edges() == 6  # K4
+    with pytest.raises(GraphFormatError, match="4 bytes past the adjacency matrix"):
+        parse_graph6("C~~~~~")
+    with pytest.raises(GraphFormatError, match="1 bytes past"):
+        parse_graph6("@?")  # one vertex has no adjacency data
+
+
+def test_graph6_rejects_nonzero_padding():
+    assert parse_graph6("Bw").num_edges() == 3  # the triangle: 111 then 000
+    for line in ("Bx", "B{", "B~"):
+        with pytest.raises(GraphFormatError, match="padding bits are not 0"):
+            parse_graph6(line)
+
+
+def test_graph6_lines_the_benchmark_writes_parse(monkeypatch):
+    """perfbench/inputs.graph6_line pads with zeros and stops at the matrix."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_inputs", bench / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(6)
+    for n in [*range(0, 14), *inputs.CUBIC_ORDERS]:
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.3]
+        line = inputs.graph6_line(n, pairs)
+        assert sorted(g[1:] for g in parse_graph6(line).edges()) == sorted(pairs)
+    assert parse_graph6(inputs.NOT_COLOURABLE_GRAPH6).num_edges() == 30
+
+
+def test_graph6_short_data_still_rejected():
+    with pytest.raises(GraphFormatError, match="too short"):
+        parse_graph6("D~")
 
 
 def test_graph6_rejects_sparse6():
