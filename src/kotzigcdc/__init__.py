@@ -30,14 +30,12 @@ from .frame import (
 )
 from .rowgraph import (
     AmiableColoring,
-    Rearrangement,
     RowEdge,
     RowGraph,
     brute_force_amiable,
     build_row_graph,
     extend_to_amiable,
     is_amiable,
-    rearrange,
     row_contract,
 )
 from .switching import (

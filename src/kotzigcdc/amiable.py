@@ -6,8 +6,8 @@ first-row vertices fully isolated) into an amiable coloring:
 
   1. identify rows 2 and 3 column-wise and take an acyclic t-join of the
      odd-degree columns;
-  2. swap rows 2/3 in some columns of a working copy so the t-join uses
-     no cross-row edges (always possible because the join is acyclic);
+  2. let rows 2 and 3 trade places in some columns so the t-join uses no
+     cross-row edges (always possible because the join is acyclic);
   3. color f = (2, 3, 1) down each column, give color 2 to the lower-rows
      edges outside the join;
   4. compare row-1/row-2 degrees in the mixed subgraph (cross edges +
@@ -15,26 +15,27 @@ first-row vertices fully isolated) into an amiable coloring:
      columns get fixed by an acyclic t-join inside row 1, whose edges and
      the remaining mixed edges receive colors 3 and 1;
   5. everything left is color 3;
-  6. carry the coloring back through the swaps of step 2, so a swapped
-     column has f = (2, 1, 3).
+  6. read f off the rows played, so a column of step 2 has f = (2, 1, 3).
 
-Every construction here returns a coloring that is amiable on the row
-graph it was given.  Feasibility of the row-1 join is exactly what the
-concentration precondition buys; a failure there is reported loudly,
-never masked.
+No row graph is copied: each column reads its vertices through one
+permutation of its rows.  A construction may start it by letting a
+chosen row trade places with row 1, step 2 adds the 2/3 trades, and every
+step works on the rows played.  So every construction here returns a
+coloring that is amiable on the row graph it was given.  Feasibility of
+the row-1 join is exactly what the concentration precondition buys; a
+failure there is reported loudly, never masked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConstructionInvariantError, FrameError, HypothesisError
 from .frame import C_KIND, Frame, PerfectColoring, Witness, is_perfect_coloring
 from .multigraph import Multigraph, components, is_eulerian, sorted_edge_ids
 from .rowgraph import (
     AmiableColoring,
-    Rearrangement,
     RowEdge,
     RowGraph,
     amiable_violations,
@@ -86,19 +87,33 @@ def _require_amiable(r: RowGraph, a: AmiableColoring, what: str) -> None:
 # -- the core construction -----------------------------------------------------
 
 
-def _run_engine(r: RowGraph, trace: ConstructionTrace) -> AmiableColoring:
-    """Produce an amiable coloring of r with f = (2, 3, 1) down every
-    column, or (2, 1, 3) down the columns swapped to straighten the lower
-    join.
+def _run_engine(
+    r: RowGraph, trace: ConstructionTrace, front: dict[int, int] | None = None
+) -> AmiableColoring:
+    """Produce an amiable coloring of r.
 
-    The caller is responsible for the concentration precondition; if the
-    row-1 join turns out infeasible regardless, ConstructionInvariantError
-    is raised.
+    Each vertex plays a row through one permutation per column: row
+    front[j] (row 1 by default) trades places with row 1, and rows 2 and 3
+    trade places in the columns that straighten the lower join.  The
+    vertices playing rows 1, 2 and 3 get colors 2, 3 and 1.
+
+    The caller is responsible for the concentration precondition, read on
+    the rows played; if the row-1 join turns out infeasible regardless,
+    ConstructionInvariantError is raised.
     """
     s = r.s
     _require_eulerian(r)
+    front = front or {}
+    plays = {}  # plays[j][i]: the row that (i, j) plays
+    for j in range(1, s + 1):
+        plays[j] = perm = [0, 1, 2, 3]
+        i = front.get(j, 1)
+        perm[1], perm[i] = i, 1
 
-    lower = r.edges_within_rows({2, 3})
+    def role(v) -> int:
+        return plays[v[1]][v[0]]
+
+    lower = [e for e in r.edges if role(e.a) > 1 and role(e.b) > 1]
     identified = Multigraph(range(1, s + 1), [(e.eid, e.a[1], e.b[1]) for e in lower])
     odd_columns = [v for v in identified.vertices if identified.degree(v) % 2 == 1]
     join_lower = acyclic_t_join(identified, odd_columns)
@@ -108,58 +123,36 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> AmiableColoring:
         edges=sorted_edge_ids(join_lower),
     )
 
-    # the engine runs on a copy with rows 2/3 swapped in some columns
-    work = r
-    emap = r.edge_map()
-    crossing = [
-        eid for eid in join_lower if {emap[eid].a[0], emap[eid].b[0]} == {2, 3}
-    ]
-    swap = None
-    if crossing:
+    join = [e for e in lower if e.eid in join_lower]
+    if any(role(e.a) != role(e.b) for e in join):
         join_two_row = RowGraph(
-            s,
-            [
-                RowEdge(eid, (emap[eid].a[0] - 1, emap[eid].a[1]), (emap[eid].b[0] - 1, emap[eid].b[1]))
-                for eid in sorted_edge_ids(join_lower)
-            ],
-            rows=2,
+            s, [RowEdge(e.eid, (role(e.a) - 1, e.a[1]), (role(e.b) - 1, e.b[1])) for e in join], rows=2
         )
         swapped_columns = resolve_two_row(join_two_row)
         trace.record("row23_swap", columns=sorted(swapped_columns))
-        swap = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped_columns})
-        work = swap.apply(r)
-        emap = work.edge_map()
-        lower = work.edges_within_rows({2, 3})
+        for j in swapped_columns:
+            plays[j] = [(0, 1, 3, 2)[k] for k in plays[j]]
+        if any(role(e.a) != role(e.b) for e in join):
+            raise ConstructionInvariantError("lower join still crosses rows 2/3 after swapping")
 
-    join_row2 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 2}
-    join_row3 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 3}
-    if join_row2 | join_row3 != set(join_lower):
-        raise ConstructionInvariantError("lower join still crosses rows 2/3 after swapping")
-
-    f = {}
-    for j in range(1, s + 1):
-        f[(1, j)], f[(2, j)], f[(3, j)] = 2, 3, 1
-    g: dict = {}
-    for e in lower:
-        if e.eid not in join_lower:
-            g[e.eid] = 2
-
-    mixed_ids = set(join_row2)
-    for e in work.edges:
-        rows = {e.a[0], e.b[0]}
-        if rows == {1, 2} or rows == {1}:
-            mixed_ids.add(e.eid)
-
-    def mixed_degree(v) -> int:
-        return sum(1 for e in work.edges_at(v) if e.eid in mixed_ids)
-
-    mismatch = [
-        m
-        for m in range(1, s + 1)
-        if (mixed_degree((1, m)) - mixed_degree((2, m))) % 2 != 0
-    ]
-    trace.record("row1_join_targets", columns=sorted(mismatch))
-    row1 = work.row_subgraph(1)
+    # the mixed subgraph: edges within rows 1 and 2 that meet row 1, and the
+    # row-2 join edges
+    mixed = {
+        e.eid
+        for e in r.edges
+        if {role(e.a), role(e.b)} in ({1, 2}, {1}) or (e.eid in join_lower and role(e.a) == 2)
+    }
+    odd_ends: dict = {}  # (row played, column) -> parity of the mixed edge ends there
+    for e in r.edges:
+        if e.eid in mixed:
+            for v in (e.a, e.b):
+                odd_ends[role(v), v[1]] = not odd_ends.get((role(v), v[1]), False)
+    mismatch = [m for m in range(1, s + 1) if odd_ends.get((1, m), False) != odd_ends.get((2, m), False)]
+    trace.record("row1_join_targets", columns=mismatch)
+    row1 = Multigraph(
+        [(1, j) for j in range(1, s + 1)],
+        [(e.eid, (1, e.a[1]), (1, e.b[1])) for e in r.edges if role(e.a) == role(e.b) == 1],
+    )
     try:
         join_row1 = acyclic_t_join(row1, {(1, m) for m in mismatch})
     except HypothesisError as exc:
@@ -169,15 +162,16 @@ def _run_engine(r: RowGraph, trace: ConstructionTrace) -> AmiableColoring:
         ) from exc
     trace.record("row1_join", edges=sorted_edge_ids(join_row1))
 
-    for eid in mixed_ids:
-        if eid not in join_row1:
-            g[eid] = 1
-    for e in work.edges:
-        g.setdefault(e.eid, 3)
-
+    f = {(i, j): (0, 2, 3, 1)[plays[j][i]] for j in range(1, s + 1) for i in (1, 2, 3)}
+    g = {}
+    for e in r.edges:
+        if e.eid in mixed:
+            g[e.eid] = 3 if e.eid in join_row1 else 1
+        elif role(e.a) > 1 and role(e.b) > 1 and e.eid not in join_lower:
+            g[e.eid] = 2
+        else:
+            g[e.eid] = 3
     coloring = AmiableColoring(f=f, g=g)
-    if swap is not None:  # row swaps are their own inverse
-        coloring = swap.transport_amiable(coloring)
     _require_amiable(r, coloring, "constructed coloring is not amiable")
     trace.record("amiable", f_rows=[2, 3, 1])
     return coloring
@@ -236,17 +230,6 @@ def construct_amiable_main(
     return coloring, trace
 
 
-def _solve_with_rows_to_front(
-    r: RowGraph, chosen: dict[int, int], trace: ConstructionTrace
-) -> AmiableColoring:
-    """Swap each column's chosen row with row 1, run the engine on that
-    copy and carry the coloring back (row swaps are their own inverse)."""
-    rearr = Rearrangement.row_swaps(r, {j: (i, 1) for j, i in chosen.items()})
-    result = rearr.transport_amiable(_run_engine(rearr.apply(r), trace))
-    _require_amiable(r, result, "transported coloring lost amiability")
-    return result
-
-
 # -- constructive corollaries ---------------------------------------------------
 
 
@@ -257,8 +240,8 @@ def construct_amiable_concentrated_row(
     component and the columns meeting that row's isolated vertices have at
     most one busy vertex each.
 
-    The coloring returned is valid on r itself (any internal rearranging is
-    undone).  Raises HypothesisError when the shape does not hold.
+    That row plays row 1 in the columns it joins; elsewhere the first idle
+    row does.  Raises HypothesisError when the shape does not hold.
     """
     trace = trace or ConstructionTrace()
     if row not in range(1, r.rows + 1):
@@ -286,30 +269,7 @@ def construct_amiable_concentrated_row(
             )
         chosen[j] = _first_idle_row(r, j)
     trace.record("row_to_front", row=row, chosen_rows=chosen)
-    return _solve_with_rows_to_front(r, chosen, trace)
-
-
-def _extract_columns(r: RowGraph, cols: Sequence[int]) -> tuple[RowGraph, dict[int, int]]:
-    mapping = {old: idx + 1 for idx, old in enumerate(sorted(cols))}
-    edges = []
-    for e in r.edges:
-        ca, cb = e.a[1], e.b[1]
-        if ca in mapping and cb in mapping:
-            edges.append(
-                RowEdge(e.eid, (e.a[0], mapping[ca]), (e.b[0], mapping[cb]), e.origin)
-            )
-        elif ca in mapping or cb in mapping:
-            raise ValueError("column split cuts an edge")
-    return RowGraph(len(cols), edges, rows=r.rows), mapping
-
-
-def _merge_part_coloring(
-    merged_f: dict, merged_g: dict, part: AmiableColoring, mapping: dict[int, int]
-) -> None:
-    back = {new: old for old, new in mapping.items()}
-    for (i, j), c in part.f.items():
-        merged_f[(i, back[j])] = c
-    merged_g.update(part.g)
+    return _run_engine(r, trace, chosen)
 
 
 def _busy_vertices(r: RowGraph, j: int) -> list:
@@ -321,35 +281,28 @@ def _first_idle_row(r: RowGraph, j: int) -> int | None:
     return next((i for i in range(1, r.rows + 1) if r.degree((i, j)) == 0), None)
 
 
-def _solve_loose_part(r: RowGraph, special: int | None, trace: ConstructionTrace) -> AmiableColoring:
-    """Engine entry for a part in which every non-special column has at
-    most one busy vertex."""
-    for j in range(1, r.s + 1):
-        if j == special:
-            continue
-        if len(_busy_vertices(r, j)) > 1:
+def _piece_front(r: RowGraph, cols: list[int], special: int | None, front: dict) -> object:
+    """Choose the front row of every column of one piece of the column
+    contraction, in which every column but special has at most one busy
+    vertex.  A special column with two or more busy vertices brings its
+    first busy vertex to the front, and the far end of that vertex's first
+    edge comes to the front too, so the edge lies in row 1; every other
+    column brings its first idle row.  Returns that edge's id, or None."""
+    for j in cols:
+        if j != special and len(_busy_vertices(r, j)) > 1:
             raise HypothesisError(f"column {j} has more than one busy vertex")
-    chosen: dict[int, int] = {}
-    anchor_edge = None
-    if special is not None and len(_busy_vertices(r, special)) >= 2:
-        # tie the special column into row 1 through one of its edges
-        v = _busy_vertices(r, special)[0]
-        anchor_edge = min(r.edges_at(v), key=lambda e: repr(e.eid))
-        u = anchor_edge.other(v)
-        chosen[special] = v[0]
-        chosen[u[1]] = u[0]
-    for j in range(1, r.s + 1):
-        if j in chosen:
-            continue
-        # a special column with <=1 busy vertex but no idle row stays as it is
-        chosen[j] = _first_idle_row(r, j) or 1
-    trace.record(
-        "loose_part",
-        special=special,
-        anchor_edge=None if anchor_edge is None else anchor_edge.eid,
-        chosen_rows=chosen,
-    )
-    return _solve_with_rows_to_front(r, chosen, trace)
+    anchor = None
+    busy = [] if special is None else _busy_vertices(r, special)
+    if len(busy) >= 2:
+        v = busy[0]
+        anchor = min(r.edges_at(v), key=lambda e: repr(e.eid))
+        u = anchor.other(v)
+        front[special] = v[0]
+        front[u[1]] = u[0]
+    for j in cols:
+        if j not in front:
+            front[j] = _first_idle_row(r, j)
+    return None if anchor is None else anchor.eid
 
 
 def _shortest_cross_column_path(r: RowGraph, p: int, q: int) -> list | None:
@@ -379,9 +332,10 @@ def construct_amiable_two_busy_columns(
     """Amiable coloring when every column except p and q has two isolated
     vertices (hence at most one busy vertex).
 
-    If some path joins columns p and q it is rotated into row 1 and the
-    concentrated-row construction applies; otherwise the graph splits into
-    independent parts that are solved separately and merged.
+    If some path joins columns p and q, its rows play row 1 and the
+    concentrated-row construction applies; otherwise each piece of the
+    column contraction chooses its own front rows, and the engine runs once
+    on all of them.
     """
     trace = trace or ConstructionTrace()
     if p == q or p not in range(1, r.s + 1) or q not in range(1, r.s + 1):
@@ -408,42 +362,18 @@ def construct_amiable_two_busy_columns(
                 raise HypothesisError(f"column {j} must contain two isolated vertices")
             chosen[j] = idle
         trace.record("path_to_front", path=[list(v) for v in path])
-        return _solve_with_rows_to_front(r, chosen, trace)
+        return _run_engine(r, trace, chosen)
 
-    # no path: split along connected pieces of the column contraction
-    rc = row_contract(r)
-    groups = components(rc)
-    part_cols: list[list[int]] = []
-    specials: list[int | None] = []
-    loose: list[int] = []
-    for comp in groups:
-        cols = sorted(comp)
-        if p in cols:
-            part_cols.append(cols)
-            specials.append(p)
-        elif q in cols:
-            part_cols.append(cols)
-            specials.append(q)
-        elif len(cols) == 1:
-            # a singleton contraction component is a fully isolated column
-            loose.append(cols[0])
-        else:
-            part_cols.append(cols)
-            specials.append(None)
-    if loose:
-        part_cols.append(loose)
-        specials.append(None)
-
-    merged_f: dict = {}
-    merged_g: dict = {}
-    for cols, special in zip(part_cols, specials):
-        part, mapping = _extract_columns(r, cols)
-        part_special = mapping[special] if special is not None else None
-        part_coloring = _solve_loose_part(part, part_special, trace)
-        _merge_part_coloring(merged_f, merged_g, part_coloring, mapping)
-    result = AmiableColoring(f=merged_f, g=merged_g)
-    _require_amiable(r, result, "merged coloring is not amiable")
-    return result
+    # no path: the front rows are chosen piece by piece of the column contraction
+    front: dict[int, int] = {}
+    anchors = []
+    for comp in components(row_contract(r)):
+        special = p if p in comp else q if q in comp else None
+        anchor = _piece_front(r, sorted(comp), special, front)
+        if anchor is not None:
+            anchors.append(anchor)
+    trace.record("pieces_to_front", anchor_edges=anchors, chosen_rows=front)
+    return _run_engine(r, trace, front)
 
 
 # -- parity colorings ------------------------------------------------------------

@@ -132,8 +132,10 @@ def _closes_short_bicolored_cycle(
     return False
 
 
-def _kotzig_search(k: Multigraph, fix_first_vertex: bool) -> Iterator[dict]:
-    """Backtracking enumeration of Kotzig colorings in BFS edge order."""
+def _kotzig_search(k: Multigraph) -> Iterator[dict]:
+    """Backtracking enumeration of Kotzig colorings in BFS edge order, one
+    per orbit of the global color permutations: the edges at the smallest
+    vertex are pinned to colors 1, 2, 3 in edge-id order."""
     _check_cubic(k)
     if k.has_loops():
         return
@@ -142,7 +144,7 @@ def _kotzig_search(k: Multigraph, fix_first_vertex: bool) -> Iterator[dict]:
     used_at: dict[Vertex, set[int]] = {v: set() for v in k.vertices}
 
     forced: dict[EdgeId, int] = {}
-    if fix_first_vertex and k.num_vertices() > 0:
+    if k.num_vertices() > 0:
         v0 = sorted_vertices(k)[0]
         for color, eid in zip(COLORS, sorted_edge_ids(k.incident_edges(v0))):
             forced[eid] = color
@@ -174,7 +176,7 @@ def _kotzig_search(k: Multigraph, fix_first_vertex: bool) -> Iterator[dict]:
 
 def find_kotzig_coloring(k: Multigraph) -> dict | None:
     """Some Kotzig coloring of k, or None.  Deterministic."""
-    for coloring in _kotzig_search(k, fix_first_vertex=True):
+    for coloring in _kotzig_search(k):
         return coloring
     return None
 
@@ -187,9 +189,9 @@ def enumerate_kotzig_colorings(k: Multigraph, representatives: bool = False) -> 
     1, 2, 3 in edge-id order).
     """
     if representatives:
-        yield from _kotzig_search(k, fix_first_vertex=True)
+        yield from _kotzig_search(k)
         return
-    for rep in _kotzig_search(k, fix_first_vertex=True):
+    for rep in _kotzig_search(k):
         for perm in sorted(itertools.permutations(COLORS)):
             relabel = dict(zip(COLORS, perm))
             yield {e: relabel[c] for e, c in rep.items()}

@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import HypothesisError, OracleLimitError
 from .multigraph import Multigraph
@@ -71,29 +70,17 @@ class RowGraph:
     def column(self, j: int) -> list[GridVertex]:
         return [(i, j) for i in range(1, self.rows + 1)]
 
-    def row(self, i: int) -> list[GridVertex]:
-        return [(i, j) for j in range(1, self.s + 1)]
-
     def edges_at(self, v: GridVertex) -> list[RowEdge]:
         return self._at[v]
 
     def degree(self, v: GridVertex) -> int:
         return len(self._at[v])
 
-    def edges_within_rows(self, rows: set[int]) -> list[RowEdge]:
-        return [e for e in self.edges if e.a[0] in rows and e.b[0] in rows]
-
-    def edges_within_row(self, i: int) -> list[RowEdge]:
-        return self.edges_within_rows({i})
-
-    def edge_map(self) -> dict:
-        return {e.eid: e for e in self.edges}
-
     def row_subgraph(self, i: int) -> Multigraph:
         """Induced subgraph on one row, keeping all s row vertices."""
         return Multigraph(
             [(i, j) for j in range(1, self.s + 1)],
-            [(e.eid, e.a, e.b) for e in self.edges_within_row(i)],
+            [(e.eid, e.a, e.b) for e in self.edges if e.a[0] == e.b[0] == i],
         )
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -151,95 +138,6 @@ def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
         b = (cw, label_of[w])
         edges.append(RowEdge(eid, a, b, origin=eid))
     return RowGraph(frame.s, edges, rows=3)
-
-
-# -- rearrangements -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Rearrangement:
-    """Column permutation plus a row permutation inside each column.
-
-    column_perm maps old column -> new column; row_perms maps old column ->
-    {old row -> new row}.
-    """
-
-    column_perm: dict
-    row_perms: dict
-
-    @staticmethod
-    def row_swaps(r: RowGraph, swaps: dict[int, tuple[int, int]]) -> "Rearrangement":
-        """Columns stay put; column j swaps the two rows swaps[j], every
-        other column keeps its rows.  The result is its own inverse."""
-        row_perms = {}
-        for j in range(1, r.s + 1):
-            perm = {i: i for i in range(1, r.rows + 1)}
-            if j in swaps:
-                a, b = swaps[j]
-                perm[a], perm[b] = b, a
-            row_perms[j] = perm
-        return Rearrangement(column_perm={j: j for j in range(1, r.s + 1)}, row_perms=row_perms)
-
-    def map_vertex(self, v: GridVertex) -> GridVertex:
-        i, j = v
-        return (self.row_perms[j][i], self.column_perm[j])
-
-    def inverse(self) -> "Rearrangement":
-        col_inv = {new: old for old, new in self.column_perm.items()}
-        row_inv = {}
-        for old_col, perm in self.row_perms.items():
-            new_col = self.column_perm[old_col]
-            row_inv[new_col] = {new: old for old, new in perm.items()}
-        return Rearrangement(column_perm=col_inv, row_perms=row_inv)
-
-    def apply(self, r: RowGraph) -> RowGraph:
-        edges = [
-            RowEdge(e.eid, self.map_vertex(e.a), self.map_vertex(e.b), e.origin)
-            for e in r.edges
-        ]
-        return RowGraph(r.s, edges, rows=r.rows)
-
-    def transport_amiable(self, a: "AmiableColoring") -> "AmiableColoring":
-        """Carry a coloring along the rearrangement (edge ids are stable)."""
-        return AmiableColoring(
-            f={self.map_vertex(v): c for v, c in a.f.items()},
-            g=dict(a.g),
-        )
-
-
-def rearrange(
-    r: RowGraph, column_perm: dict | Sequence[int], per_column_row_perms: dict | None = None
-) -> RowGraph:
-    """Apply a rearrangement given as plain mappings (1-based)."""
-    if not isinstance(column_perm, dict):
-        column_perm = {j: column_perm[j - 1] for j in range(1, r.s + 1)}
-    if set(column_perm) != set(range(1, r.s + 1)) or set(column_perm.values()) != set(
-        range(1, r.s + 1)
-    ):
-        raise ValueError("malformed column permutation")
-    row_perms = {}
-    for j in range(1, r.s + 1):
-        perm = (per_column_row_perms or {}).get(j, {i: i for i in range(1, r.rows + 1)})
-        if not isinstance(perm, dict):
-            perm = {i: perm[i - 1] for i in range(1, r.rows + 1)}
-        if set(perm) != set(range(1, r.rows + 1)) or set(perm.values()) != set(
-            range(1, r.rows + 1)
-        ):
-            raise ValueError(f"malformed row permutation for column {j}")
-        row_perms[j] = perm
-    return Rearrangement(column_perm=column_perm, row_perms=row_perms).apply(r)
-
-
-def random_rearrangement(r: RowGraph, rng: random.Random) -> Rearrangement:
-    cols = list(range(1, r.s + 1))
-    rng.shuffle(cols)
-    column_perm = {j: cols[j - 1] for j in range(1, r.s + 1)}
-    row_perms = {}
-    for j in range(1, r.s + 1):
-        rows = list(range(1, r.rows + 1))
-        rng.shuffle(rows)
-        row_perms[j] = {i: rows[i - 1] for i in range(1, r.rows + 1)}
-    return Rearrangement(column_perm=column_perm, row_perms=row_perms)
 
 
 # -- amiable colorings ---------------------------------------------------------
@@ -664,28 +562,3 @@ def row_graph_to_json(r: RowGraph) -> dict:
     if r.rows != 3:
         out["rows"] = r.rows
     return out
-
-
-def row_graph_from_json(obj: dict) -> RowGraph:
-    rows = obj.get("rows", 3)
-    edges = []
-    for idx, rec in enumerate(obj["edges"]):
-        i1, j1, i2, j2, *rest = rec
-        origin = rest[0] if rest else None
-        eid = origin if origin is not None else idx
-        edges.append(RowEdge(eid, (i1, j1), (i2, j2), origin))
-    return RowGraph(obj["s"], edges, rows=rows)
-
-
-def amiable_to_json(a: AmiableColoring) -> dict:
-    return {
-        "f": [[v[0], v[1], c] for v, c in sorted(a.f.items())],
-        "g": [[eid, c] for eid, c in sorted(a.g.items(), key=lambda kv: repr(kv[0]))],
-    }
-
-
-def amiable_from_json(obj: dict) -> AmiableColoring:
-    return AmiableColoring(
-        f={(i, j): c for i, j, c in obj["f"]},
-        g={eid: c for eid, c in obj["g"]},
-    )

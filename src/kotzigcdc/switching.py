@@ -75,8 +75,9 @@ def acyclic_t_join(g: Multigraph, t: Iterable[Vertex]) -> set[EdgeId]:
     """Forest whose odd-degree vertices are exactly t.
 
     Built on the spanning forest by leaf-to-root parity toggling; requires
-    an even number of t-vertices in every component.  Deterministic given
-    the vertex order (forest rooted at each component's smallest vertex).
+    an even number of t-vertices in every component.  A forest holds one
+    t-join only, so the result depends on nothing but the forest (rooted
+    at each component's smallest vertex, see _rooted_forest).
     """
     t = set(t)
     for v in t:
@@ -88,33 +89,10 @@ def acyclic_t_join(g: Multigraph, t: Iterable[Vertex]) -> set[EdgeId]:
                 f"component containing {comp[0]!r} holds an odd number of t-vertices"
             )
     parent, parent_edge = _rooted_forest(g)
-    depth: dict[Vertex, int] = {}
-
-    def depth_of(v: Vertex) -> int:
-        if v in depth:
-            return depth[v]
-        chain = []
-        cur = v
-        while cur not in depth and parent[cur] is not None:
-            chain.append(cur)
-            cur = parent[cur]
-        base = depth.get(cur, 0)
-        depth.setdefault(cur, 0)
-        for node in reversed(chain):
-            base += 1
-            depth[node] = base
-        return depth[v]
-
-    order = sorted(
-        g.vertices, key=lambda v: (-depth_of(v), str(type(v)), repr(v))
-    )
-    need = {v: v in t for v in g.vertices}
     chosen: set[EdgeId] = set()
-    for v in order:
-        if parent[v] is None:
-            assert not need[v], "odd parity left at a root"
-            continue
-        if need[v]:
+    for v in reversed(parent):  # breadth-first order reversed: children first
+        if v in t:
+            assert parent[v] is not None, "odd parity left at a root"
             chosen.add(parent_edge[v])
-            need[parent[v]] = not need[parent[v]]
+            t ^= {parent[v]}
     return chosen

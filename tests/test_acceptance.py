@@ -34,12 +34,12 @@ from kotzigcdc.rowgraph import (
     enumerate_row_graphs,
     extend_to_amiable,
     is_amiable,
-    random_rearrangement,
-    row_graph_from_json,
     row_graph_to_json,
 )
 from kotzigcdc.switching import BLUE, RED, acyclic_t_join, switchable_to_blue
+from tests.rearrangement import random_rearrangement
 from tests.test_amiable import has_parity_coloring_bruteforce
+from tests.test_rowgraph import row_graph_from_json
 from tests.test_switching import apply_switch_sequence, is_all_blue, t_join_degrees_ok
 
 
@@ -250,37 +250,52 @@ def _parity_exists_fast(s, rel12, rel23, blocks_per_row):
 
 def _sweep_three_way(s, combined, sample_hook=None):
     """combined: iterable of (forced, base, deltas, counters, rowconn_by_pair,
-    assignments); yields nothing, asserts agreement."""
+    assignments); yields nothing, asserts agreement.
+
+    The three answers read only the target forced ^ base, the set of
+    deltas, the counter mask and the set of joined pairs in each row, so
+    they are worked out once per value of those four and every instance
+    is checked through its key."""
     counted = 0
     positive = 0
+    answers = {}
     for forced, base, deltas, counters, joined_by_row, assignments in combined:
-        ext = _xor_solvable(forced ^ base, deltas)
-        rel12 = []
-        rel23s = []
-        rel23y = []
-        for j in range(1, s + 1):
-            w1 = counters >> (W1 * 3 + j - 1) & 1
-            w2 = counters >> (W2 * 3 + j - 1) & 1
-            w3 = counters >> (W3 * 3 + j - 1) & 1
-            c12r1 = counters >> (C12R1 * 3 + j - 1) & 1
-            c12r2 = counters >> (C12R2 * 3 + j - 1) & 1
-            c23r2 = counters >> (C23R2 * 3 + j - 1) & 1
-            c23r3 = counters >> (C23R3 * 3 + j - 1) & 1
-            rel12.append((w1 + c12r1 + c12r2) % 2 == 0)
-            rel23s.append((w2 + c23r2 + w3 + c23r3) % 2 == 0)
-            rel23y.append((w2 + c23r2 + c23r3) % 2 == 0)
-        cols = list(range(1, s + 1))
-        blocks_per_row = [
-            _row_blocks(joined_by_row[row - 1], cols) for row in (1, 2, 3)
-        ]
-        std = _parity_exists_fast(s, rel12, rel23s, blocks_per_row)
-        sym = _parity_exists_fast(s, rel12, rel23y, blocks_per_row)
+        key = (forced ^ base, frozenset(deltas), counters, tuple(frozenset(pairs) for pairs in joined_by_row))
+        if key not in answers:
+            answers[key] = _three_answers(s, forced ^ base, deltas, counters, joined_by_row)
+        ext, std, sym = answers[key]
         assert ext == std == sym, (s, assignments, ext, std, sym)
         counted += 1
         positive += ext
         if sample_hook is not None:
             sample_hook(counted, assignments, ext)
     return counted, positive
+
+
+def _three_answers(s, target, deltas, counters, joined_by_row):
+    """Extension at identity f, standard and symmetric parity colouring."""
+    ext = _xor_solvable(target, deltas)
+    rel12 = []
+    rel23s = []
+    rel23y = []
+    for j in range(1, s + 1):
+        w1 = counters >> (W1 * 3 + j - 1) & 1
+        w2 = counters >> (W2 * 3 + j - 1) & 1
+        w3 = counters >> (W3 * 3 + j - 1) & 1
+        c12r1 = counters >> (C12R1 * 3 + j - 1) & 1
+        c12r2 = counters >> (C12R2 * 3 + j - 1) & 1
+        c23r2 = counters >> (C23R2 * 3 + j - 1) & 1
+        c23r3 = counters >> (C23R3 * 3 + j - 1) & 1
+        rel12.append((w1 + c12r1 + c12r2) % 2 == 0)
+        rel23s.append((w2 + c23r2 + w3 + c23r3) % 2 == 0)
+        rel23y.append((w2 + c23r2 + c23r3) % 2 == 0)
+    cols = list(range(1, s + 1))
+    blocks_per_row = [
+        _row_blocks(joined_by_row[row - 1], cols) for row in (1, 2, 3)
+    ]
+    std = _parity_exists_fast(s, rel12, rel23s, blocks_per_row)
+    sym = _parity_exists_fast(s, rel12, rel23y, blocks_per_row)
+    return ext, std, sym
 
 
 def _instances_for_s(s, max_edges):
@@ -393,28 +408,10 @@ def test_sweep_formulation_matches_library_exhaustively():
             s, max_edges
         ):
             r = _rebuild_row_graph(s, assignments)
-            ext = _xor_solvable(forced ^ base, deltas)
+            ext, std, sym = _three_answers(s, forced ^ base, deltas, counters, joined)
             assert ext == (extend_to_amiable(r, identity_f(r)) is not None)
-            rel12, rel23s, rel23y = [], [], []
-            for j in range(1, s + 1):
-                w1 = counters >> (W1 * 3 + j - 1) & 1
-                w2 = counters >> (W2 * 3 + j - 1) & 1
-                w3 = counters >> (W3 * 3 + j - 1) & 1
-                c12r1 = counters >> (C12R1 * 3 + j - 1) & 1
-                c12r2 = counters >> (C12R2 * 3 + j - 1) & 1
-                c23r2 = counters >> (C23R2 * 3 + j - 1) & 1
-                c23r3 = counters >> (C23R3 * 3 + j - 1) & 1
-                rel12.append((w1 + c12r1 + c12r2) % 2 == 0)
-                rel23s.append((w2 + c23r2 + w3 + c23r3) % 2 == 0)
-                rel23y.append((w2 + c23r2 + c23r3) % 2 == 0)
-            cols = list(range(1, s + 1))
-            blocks = [_row_blocks(joined[row - 1], cols) for row in (1, 2, 3)]
-            assert _parity_exists_fast(s, rel12, rel23s, blocks) == (
-                find_parity_coloring(r, STANDARD) is not None
-            )
-            assert _parity_exists_fast(s, rel12, rel23y, blocks) == (
-                find_parity_coloring(r, SYMMETRIC) is not None
-            )
+            assert std == (find_parity_coloring(r, STANDARD) is not None)
+            assert sym == (find_parity_coloring(r, SYMMETRIC) is not None)
 
 
 def test_criterion_6_shape_constructors():

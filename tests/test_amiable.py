@@ -32,9 +32,10 @@ from kotzigcdc.frame import (
     validate_frame,
     well_connected_witness,
 )
-from kotzigcdc.multigraph import Multigraph, components, is_eulerian
+from kotzigcdc.multigraph import Multigraph, components, is_eulerian, sorted_edge_ids
 from kotzigcdc.rowgraph import (
     AmiableColoring,
+    RowEdge,
     RowGraph,
     brute_force_amiable,
     build_row_graph,
@@ -44,7 +45,8 @@ from kotzigcdc.rowgraph import (
     row_components,
     row_contract,
 )
-from kotzigcdc.switching import acyclic_t_join
+from kotzigcdc.switching import acyclic_t_join, resolve_two_row
+from tests.rearrangement import Rearrangement
 from tests.test_cdc import planted_host, planted_multi_k_hosts
 from tests.test_frame import build_colored_contraction, referee_witness, validate_labeled
 from tests.test_rowgraph import edge_signature
@@ -89,10 +91,9 @@ def test_main_two_multi_components_rejected():
 
 
 def test_main_row_swap_instance():
-    """Instance engineered so the lower t-join crosses rows 2/3 and the
-    swap machinery kicks in; the coloring is carried back through the swap,
-    so it is amiable on the graph passed in, with f = (2, 1, 3) down the
-    swapped column."""
+    """Instance engineered so the lower t-join crosses rows 2/3, so rows 2
+    and 3 trade places in a column; the coloring is amiable on the graph
+    passed in, with f = (2, 1, 3) down that column."""
     r = RowGraph(
         3,
         [
@@ -231,6 +232,304 @@ def test_two_busy_covers_all_s2():
         assert is_amiable(r, a)
         count += 1
     assert count == 541  # every eulerian instance at this size
+
+
+# -- referees: the engine on rearranged copies ------------------------------------
+
+
+def referee_run_engine(r, trace):
+    """The engine as it ran on a copy of r with rows 2/3 swapped in the
+    columns that straighten the lower join, the coloring carried back
+    through the swap."""
+    s = r.s
+    amiable._require_eulerian(r)
+
+    lower = [e for e in r.edges if e.a[0] in (2, 3) and e.b[0] in (2, 3)]
+    identified = Multigraph(range(1, s + 1), [(e.eid, e.a[1], e.b[1]) for e in lower])
+    odd_columns = [v for v in identified.vertices if identified.degree(v) % 2 == 1]
+    join_lower = acyclic_t_join(identified, odd_columns)
+    trace.record(
+        "lower_join",
+        odd_columns=sorted(odd_columns),
+        edges=sorted_edge_ids(join_lower),
+    )
+
+    work = r
+    emap = {e.eid: e for e in r.edges}
+    crossing = [
+        eid for eid in join_lower if {emap[eid].a[0], emap[eid].b[0]} == {2, 3}
+    ]
+    swap = None
+    if crossing:
+        join_two_row = RowGraph(
+            s,
+            [
+                RowEdge(eid, (emap[eid].a[0] - 1, emap[eid].a[1]), (emap[eid].b[0] - 1, emap[eid].b[1]))
+                for eid in sorted_edge_ids(join_lower)
+            ],
+            rows=2,
+        )
+        swapped_columns = resolve_two_row(join_two_row)
+        trace.record("row23_swap", columns=sorted(swapped_columns))
+        swap = Rearrangement.row_swaps(r, {j: (2, 3) for j in swapped_columns})
+        work = swap.apply(r)
+        emap = {e.eid: e for e in work.edges}
+        lower = [e for e in work.edges if e.a[0] in (2, 3) and e.b[0] in (2, 3)]
+
+    join_row2 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 2}
+    join_row3 = {eid for eid in join_lower if emap[eid].a[0] == emap[eid].b[0] == 3}
+    if join_row2 | join_row3 != set(join_lower):
+        raise ConstructionInvariantError("lower join still crosses rows 2/3 after swapping")
+
+    f = {}
+    for j in range(1, s + 1):
+        f[(1, j)], f[(2, j)], f[(3, j)] = 2, 3, 1
+    g: dict = {}
+    for e in lower:
+        if e.eid not in join_lower:
+            g[e.eid] = 2
+
+    mixed_ids = set(join_row2)
+    for e in work.edges:
+        rows = {e.a[0], e.b[0]}
+        if rows == {1, 2} or rows == {1}:
+            mixed_ids.add(e.eid)
+
+    def mixed_degree(v) -> int:
+        return sum(1 for e in work.edges_at(v) if e.eid in mixed_ids)
+
+    mismatch = [
+        m
+        for m in range(1, s + 1)
+        if (mixed_degree((1, m)) - mixed_degree((2, m))) % 2 != 0
+    ]
+    trace.record("row1_join_targets", columns=sorted(mismatch))
+    row1 = work.row_subgraph(1)
+    try:
+        join_row1 = acyclic_t_join(row1, {(1, m) for m in mismatch})
+    except HypothesisError as exc:
+        raise ConstructionInvariantError(
+            "row-1 parity repair is infeasible; the concentration precondition "
+            f"does not hold ({exc})"
+        ) from exc
+    trace.record("row1_join", edges=sorted_edge_ids(join_row1))
+
+    for eid in mixed_ids:
+        if eid not in join_row1:
+            g[eid] = 1
+    for e in work.edges:
+        g.setdefault(e.eid, 3)
+
+    coloring = AmiableColoring(f=f, g=g)
+    if swap is not None:  # row swaps are their own inverse
+        coloring = swap.transport_amiable(coloring)
+    amiable._require_amiable(r, coloring, "constructed coloring is not amiable")
+    trace.record("amiable", f_rows=[2, 3, 1])
+    return coloring
+
+
+def referee_solve_with_rows_to_front(r, chosen, trace):
+    """Swap each column's chosen row with row 1, run the engine on that
+    copy and carry the coloring back (row swaps are their own inverse)."""
+    rearr = Rearrangement.row_swaps(r, {j: (i, 1) for j, i in chosen.items()})
+    result = rearr.transport_amiable(referee_run_engine(rearr.apply(r), trace))
+    amiable._require_amiable(r, result, "transported coloring lost amiability")
+    return result
+
+
+def referee_engine(r, trace, front=None):
+    """The engine's call, answered the way it was before the engine read
+    rows through permutations: construct_amiable_main ran the engine on r,
+    the shape constructions on a copy with the front rows moved up."""
+    if front is None:
+        return referee_run_engine(r, trace)
+    return referee_solve_with_rows_to_front(r, front, trace)
+
+
+def referee_extract_columns(r, cols):
+    mapping = {old: idx + 1 for idx, old in enumerate(sorted(cols))}
+    edges = []
+    for e in r.edges:
+        ca, cb = e.a[1], e.b[1]
+        if ca in mapping and cb in mapping:
+            edges.append(
+                RowEdge(e.eid, (e.a[0], mapping[ca]), (e.b[0], mapping[cb]), e.origin)
+            )
+        elif ca in mapping or cb in mapping:
+            raise ValueError("column split cuts an edge")
+    return RowGraph(len(cols), edges, rows=r.rows), mapping
+
+
+def referee_merge_part_coloring(merged_f, merged_g, part, mapping):
+    back = {new: old for old, new in mapping.items()}
+    for (i, j), c in part.f.items():
+        merged_f[(i, back[j])] = c
+    merged_g.update(part.g)
+
+
+def referee_solve_loose_part(r, special, trace):
+    """Engine entry for a part in which every non-special column has at
+    most one busy vertex."""
+    for j in range(1, r.s + 1):
+        if j == special:
+            continue
+        if len(amiable._busy_vertices(r, j)) > 1:
+            raise HypothesisError(f"column {j} has more than one busy vertex")
+    chosen = {}
+    anchor_edge = None
+    if special is not None and len(amiable._busy_vertices(r, special)) >= 2:
+        # tie the special column into row 1 through one of its edges
+        v = amiable._busy_vertices(r, special)[0]
+        anchor_edge = min(r.edges_at(v), key=lambda e: repr(e.eid))
+        u = anchor_edge.other(v)
+        chosen[special] = v[0]
+        chosen[u[1]] = u[0]
+    for j in range(1, r.s + 1):
+        if j in chosen:
+            continue
+        # a special column with <=1 busy vertex but no idle row stays as it is
+        chosen[j] = amiable._first_idle_row(r, j) or 1
+    trace.record(
+        "loose_part",
+        special=special,
+        anchor_edge=None if anchor_edge is None else anchor_edge.eid,
+        chosen_rows=chosen,
+    )
+    return referee_solve_with_rows_to_front(r, chosen, trace)
+
+
+def referee_two_busy_columns(r, p, q, trace=None):
+    """construct_amiable_two_busy_columns as it was: the split case cut r
+    into renumbered parts, ran the engine once per part and merged."""
+    trace = trace or ConstructionTrace()
+    if p == q or p not in range(1, r.s + 1) or q not in range(1, r.s + 1):
+        raise HypothesisError("need two distinct valid column indices")
+    amiable._require_eulerian(r)
+    for j in range(1, r.s + 1):
+        if j in (p, q):
+            continue
+        if len(amiable._busy_vertices(r, j)) > 1:
+            raise HypothesisError(
+                f"column {j} must contain two isolated vertices"
+            )
+
+    path = amiable._shortest_cross_column_path(r, p, q)
+    if path is not None:
+        cols_seen = [v[1] for v in path]
+        assert len(set(cols_seen)) == len(cols_seen), "shortest path revisits a column"
+        chosen = {v[1]: v[0] for v in path}
+        for j in range(1, r.s + 1):
+            if j in chosen:
+                continue
+            idle = amiable._first_idle_row(r, j)
+            if idle is None:
+                raise HypothesisError(f"column {j} must contain two isolated vertices")
+            chosen[j] = idle
+        trace.record("path_to_front", path=[list(v) for v in path])
+        return referee_solve_with_rows_to_front(r, chosen, trace)
+
+    # no path: split along connected pieces of the column contraction
+    rc = row_contract(r)
+    groups = components(rc)
+    part_cols = []
+    specials = []
+    loose = []
+    for comp in groups:
+        cols = sorted(comp)
+        if p in cols:
+            part_cols.append(cols)
+            specials.append(p)
+        elif q in cols:
+            part_cols.append(cols)
+            specials.append(q)
+        elif len(cols) == 1:
+            # a singleton contraction component is a fully isolated column
+            loose.append(cols[0])
+        else:
+            part_cols.append(cols)
+            specials.append(None)
+    if loose:
+        part_cols.append(loose)
+        specials.append(None)
+
+    merged_f = {}
+    merged_g = {}
+    for cols, special in zip(part_cols, specials):
+        part, mapping = referee_extract_columns(r, cols)
+        part_special = mapping[special] if special is not None else None
+        part_coloring = referee_solve_loose_part(part, part_special, trace)
+        referee_merge_part_coloring(merged_f, merged_g, part_coloring, mapping)
+    result = AmiableColoring(f=merged_f, g=merged_g)
+    amiable._require_amiable(r, result, "merged coloring is not amiable")
+    return result
+
+
+def orbit_representatives(spec):
+    """The eulerian orbit representatives for each (s, max_edges) in spec."""
+    for s, max_edges in spec:
+        yield from enumerate_row_graphs(s, max_edges, up_to_rearrangement=True)
+
+
+def _construction_record(fn, *args):
+    """What a construction gives: ((f, g), trace steps), or the error's
+    type and text with the trace steps recorded before it."""
+    trace = ConstructionTrace()
+    try:
+        out = fn(*args, trace=trace)
+    except (HypothesisError, ConstructionInvariantError) as exc:
+        return (type(exc), str(exc)), trace.steps
+    if isinstance(out, tuple):
+        out = out[0]
+    return (out.f, out.g), trace.steps
+
+
+def test_engine_matches_the_rearranged_copy_referee(monkeypatch):
+    """The engine that reads rows through one permutation per column gives
+    the (f, g), trace steps and errors of the engine that ran on rearranged
+    copies, for construct_amiable_main and construct_amiable_concentrated_row
+    on every row, over every orbit with s <= 3 and at most 6 edges and with
+    s = 4 and at most 5 edges."""
+    runs = 0
+    engine = amiable._run_engine
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return engine(*args)
+
+    for r in orbit_representatives(((1, 6), (2, 6), (3, 6), (4, 5))):
+        calls = [(construct_amiable_main, r)] + [
+            (construct_amiable_concentrated_row, r, row) for row in (1, 2, 3)
+        ]
+        for call in calls:
+            monkeypatch.setattr(amiable, "_run_engine", counted)
+            new = _construction_record(*call)
+            monkeypatch.setattr(amiable, "_run_engine", referee_engine)
+            old = _construction_record(*call)
+            assert new == old, (call, new, old)
+    assert runs == 1548
+
+
+def test_two_busy_columns_match_the_split_referee():
+    """On every column pair (p, q) of every orbit with s <= 3 and at most 6
+    edges and with s = 4 and at most 4 edges, the two-busy construction and
+    its split-into-parts referee refuse the same inputs, and what the
+    construction returns is amiable."""
+    pairs = split = 0
+    for r in orbit_representatives(((1, 6), (2, 6), (3, 6), (4, 4))):
+        for p, q in itertools.combinations(range(1, r.s + 1), 2):
+            pairs += 1
+            trace = ConstructionTrace()
+            new = _outcome(construct_amiable_two_busy_columns, r, p, q, trace)
+            old = _outcome(referee_two_busy_columns, r, p, q)
+            if isinstance(new, AmiableColoring):
+                assert is_amiable(r, new)
+                assert isinstance(old, AmiableColoring), (r.edges, p, q, old)
+            else:
+                assert new == old, (r.edges, p, q, new, old)
+            split += trace.find("pieces_to_front") is not None
+    assert pairs == 2044
+    assert split > 0
 
 
 # -- parity colorings ----------------------------------------------------------------
@@ -614,8 +913,6 @@ def test_rearrangement_equivalence_with_parity():
             for rows_combo in itertools.product(
                 itertools.permutations((1, 2, 3)), repeat=r.s
             ):
-                from kotzigcdc.rowgraph import Rearrangement
-
                 rearr = Rearrangement(
                     column_perm={j: cols[j - 1] for j in range(1, r.s + 1)},
                     row_perms={

@@ -12,22 +12,19 @@ from kotzigcdc.multigraph import is_eulerian
 from kotzigcdc.rowgraph import (
     MAX_ORBIT_COLUMNS,
     AmiableColoring,
+    RowEdge,
     RowGraph,
-    amiable_from_json,
-    amiable_to_json,
     brute_force_amiable,
     build_row_graph,
     enumerate_row_graphs,
     extend_to_amiable,
     is_amiable,
-    random_rearrangement,
-    rearrange,
     row_contract,
-    row_graph_from_json,
     row_graph_to_json,
     solve_gf2,
 )
 from kotzigcdc.amiable import permute_component_colors
+from tests.rearrangement import random_rearrangement, rearrange
 from tests.test_frame import (
     contract_frame,
     cube_two_squares_frame,
@@ -609,6 +606,18 @@ def test_orbit_generation_refuses_many_columns():
         next(enumerate_row_graphs(MAX_ORBIT_COLUMNS + 1, 2, up_to_rearrangement=True))
 
 
+def row_graph_from_json(obj: dict) -> RowGraph:
+    """Read back the row-graph format that row_graph_to_json writes."""
+    rows = obj.get("rows", 3)
+    edges = []
+    for idx, rec in enumerate(obj["edges"]):
+        i1, j1, i2, j2, *rest = rec
+        origin = rest[0] if rest else None
+        eid = origin if origin is not None else idx
+        edges.append(RowEdge(eid, (i1, j1), (i2, j2), origin))
+    return RowGraph(obj["s"], edges, rows=rows)
+
+
 def test_row_graph_json_round_trip():
     r = sample_row_graph()
     obj = row_graph_to_json(r)
@@ -617,10 +626,3 @@ def test_row_graph_json_round_trip():
     assert edge_signature(back) == {
         (idx, frozenset((e.a, e.b))) for idx, e in enumerate(r.edges)
     } or len(back.edges) == len(r.edges)
-
-
-def test_amiable_json_round_trip():
-    r = RowGraph(2, [(0, (1, 1), (1, 2)), (1, (2, 1), (2, 2))])
-    a = brute_force_amiable(r)
-    back = amiable_from_json(amiable_to_json(a))
-    assert back.f == a.f and back.g == a.g

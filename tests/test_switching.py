@@ -1,12 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kotzigcdc.catalog import cycle_graph, path_graph
 from kotzigcdc.errors import HypothesisError
-from kotzigcdc.multigraph import Multigraph, components
+from kotzigcdc.multigraph import Multigraph, _rooted_forest, components
 from kotzigcdc.rowgraph import RowGraph
 from kotzigcdc.switching import (
     BLUE,
@@ -250,3 +251,76 @@ def test_t_join_contract_500_random():
 def test_t_join_deterministic():
     g = cycle_graph(6)
     assert acyclic_t_join(g, {1, 4}) == acyclic_t_join(g, {1, 4})
+
+
+def referee_acyclic_t_join(g: Multigraph, t) -> set:
+    """acyclic_t_join as it was: leaf-to-root toggling over the forest's
+    vertices sorted by decreasing depth."""
+    t = set(t)
+    for v in t:
+        if not g.has_vertex(v):
+            raise HypothesisError(f"t contains unknown vertex {v!r}")
+    for comp in components(g):
+        if len(t & set(comp)) % 2 != 0:
+            raise HypothesisError(
+                f"component containing {comp[0]!r} holds an odd number of t-vertices"
+            )
+    parent, parent_edge = _rooted_forest(g)
+    depth = {}
+
+    def depth_of(v):
+        if v in depth:
+            return depth[v]
+        chain = []
+        cur = v
+        while cur not in depth and parent[cur] is not None:
+            chain.append(cur)
+            cur = parent[cur]
+        base = depth.get(cur, 0)
+        depth.setdefault(cur, 0)
+        for node in reversed(chain):
+            base += 1
+            depth[node] = base
+        return depth[v]
+
+    order = sorted(
+        g.vertices, key=lambda v: (-depth_of(v), str(type(v)), repr(v))
+    )
+    need = {v: v in t for v in g.vertices}
+    chosen = set()
+    for v in order:
+        if parent[v] is None:
+            assert not need[v], "odd parity left at a root"
+            continue
+        if need[v]:
+            chosen.add(parent_edge[v])
+            need[parent[v]] = not need[parent[v]]
+    return chosen
+
+
+@pytest.mark.parametrize("ids", ["int", "str", "tuple", "mixed"])
+def test_t_join_matches_the_depth_sorted_referee(ids):
+    """Walking the breadth-first forest backwards gives the join that the
+    walk by decreasing depth gave, on random multigraphs with loops and
+    parallel edges, whatever the vertex ids; odd t-sets fail alike."""
+    rng = random.Random(ids)
+    name = {
+        "int": lambda k: k,
+        "str": lambda k: f"v{k}",
+        "tuple": lambda k: (k % 3, k),
+        "mixed": lambda k: (k, f"v{k}", (k,))[k % 3],
+    }[ids]
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        vertices = [name(k) for k in range(n)]
+        edges = [(i, rng.choice(vertices), rng.choice(vertices)) for i in range(rng.randint(0, 2 * n))]
+        g = Multigraph(vertices, edges)
+        t = {v for v in vertices if rng.random() < 0.5}
+        try:
+            expected = referee_acyclic_t_join(g, t)
+        except HypothesisError as exc:
+            with pytest.raises(HypothesisError, match=re.escape(str(exc))):
+                acyclic_t_join(g, t)
+            continue
+        assert acyclic_t_join(g, t) == expected
+
