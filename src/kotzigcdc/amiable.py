@@ -38,6 +38,7 @@ from .rowgraph import (
     AmiableColoring,
     RowEdge,
     RowGraph,
+    _component_indices,
     amiable_violations,
     build_row_graph,
     is_amiable,
@@ -380,8 +381,6 @@ def construct_amiable_two_busy_columns(
 
 STANDARD = "standard"
 SYMMETRIC = "symmetric"
-BLACK = "black"
-WHITE = "white"
 
 
 @dataclass(frozen=True)
@@ -391,35 +390,26 @@ class ParityColoring:
     black: frozenset
     mode: str
 
-    def color(self, v) -> str:
-        return BLACK if v in self.black else WHITE
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "black": sorted([list(v) for v in self.black])}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ParityColoring":
-        return ParityColoring(
-            black=frozenset((i, j) for i, j in obj["black"]), mode=obj["mode"]
-        )
-
 
 def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
     """Per column: must phi agree on rows (1,2) and on rows (2,3)?
 
-    One pass over the edges counts, for each vertex, its neighbours in
-    each row with edge multiplicity; both relations read those counts."""
-    nbrs = {v: [0, 0, 0, 0] for v in r.vertices()}  # nbrs[v][i]: neighbours in row i
-    for e in r.edges:
-        nbrs[e.a][e.b[0]] += 1
-        nbrs[e.b][e.a[0]] += 1
+    One pass over the edges keeps, for each vertex, the parities of its
+    neighbours in each row with edge multiplicity (bit i - 1 for row i);
+    both relations read those bits."""
+    if r.rows != 3 and r.s:
+        raise KeyError((3, 1))  # the relations read row 3, which r lacks
+    odd = [0] * len(r._vertices)
+    for a, b in zip(r._ia, r._ib):
+        odd[a] ^= 1 << b % 3
+        odd[b] ^= 1 << a % 3
+    standard = mode == STANDARD
     rel12 = []
     rel23 = []
-    for j in range(1, r.s + 1):
-        n1, n2, n3 = nbrs[(1, j)], nbrs[(2, j)], nbrs[(3, j)]
-        rel12.append((n1[1] + n1[2] + n2[1]) % 2 == 0)
-        b = n2[2] + n2[3] + n3[2] + (n3[3] if mode == STANDARD else 0)
-        rel23.append(b % 2 == 0)
+    for k in range(0, len(odd), 3):
+        n1, n2, n3 = odd[k], odd[k + 1], odd[k + 2]
+        rel12.append(not (n1 ^ n1 >> 1 ^ n2) & 1)
+        rel23.append(not (n2 >> 1 ^ n2 >> 2 ^ n3 >> 1 ^ (n3 >> 2 if standard else 0)) & 1)
     return rel12, rel23
 
 
@@ -434,17 +424,11 @@ def is_parity_coloring(r: RowGraph, phi: ParityColoring, mode: str | None = None
     mode = mode or phi.mode
     _require_mode(mode)
     rel12, rel23 = _pair_relations(r, mode)
-    for j in range(1, r.s + 1):
-        same12 = ((1, j) in phi.black) == ((2, j) in phi.black)
-        if same12 != rel12[j - 1]:
+    black = [v in phi.black for v in r._vertices]
+    for k, same12, same23 in zip(range(0, len(black), 3), rel12, rel23):
+        if (black[k] == black[k + 1]) != same12 or (black[k + 1] == black[k + 2]) != same23:
             return False
-        same23 = ((2, j) in phi.black) == ((3, j) in phi.black)
-        if same23 != rel23[j - 1]:
-            return False
-    for comp in row_components(r):
-        if sum(1 for v in comp if v in phi.black) % 2 != 0:
-            return False
-    return True
+    return not any(sum(black[v] for v in comp) % 2 for comp in _component_indices(r))
 
 
 def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
@@ -458,22 +442,22 @@ def find_parity_coloring(r: RowGraph, mode: str) -> ParityColoring | None:
     black/white assignments.
     """
     rel12, rel23 = _pair_relations(r, mode)
-    flip = {}  # does (i, j) take the other color than (1, j)?
-    for j in range(1, r.s + 1):
-        flip[(1, j)] = 0
-        flip[(2, j)] = int(not rel12[j - 1])
-        flip[(3, j)] = flip[(2, j)] ^ int(not rel23[j - 1])
+    flip = []  # per vertex: does it take the other color than row 1 of its column?
+    for same12, same23 in zip(rel12, rel23):
+        flip2 = int(not same12)
+        flip += (0, flip2, flip2 ^ int(not same23))
     rhs = 1 << r.s
+    term = [1 << v // 3 | rhs * flip[v] for v in range(len(flip))]
     equations = []
-    for comp in row_components(r):
+    for comp in _component_indices(r):
         row = 0
         for v in comp:
-            row ^= 1 << (v[1] - 1) | rhs * flip[v]
+            row ^= term[v]
         equations.append(row)
     bits = solve_gf2(equations, r.s)
     if bits is None:
         return None
-    black = frozenset(v for v in flip if (bits >> (v[1] - 1) & 1) ^ flip[v])
+    black = frozenset(v for k, v in enumerate(r._vertices) if (bits >> k // 3 & 1) ^ flip[k])
     return ParityColoring(black=black, mode=mode)
 
 

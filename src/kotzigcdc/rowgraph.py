@@ -4,6 +4,14 @@ A row graph has vertices (row, column) with every column an independent
 set.  Edges built from a frame keep the host edge id as their origin;
 synthetic instances are first-class because the scanning harness works on
 bare row graphs.
+
+Each row graph numbers its vertices once, column by column: (i, j) is
+(j - 1) * rows + i - 1.  It keeps the numbers of every edge's two ends in
+edge order, and the amiable oracle, the extension at a fixed f, the
+amiability check and the parity searches read those numbers from flat
+lists.  The row components are worked out from them on first use and kept
+on the row graph, so both parity searches on one graph share one
+union-find pass.
 """
 
 from __future__ import annotations
@@ -36,9 +44,13 @@ class RowEdge:
 
 
 class RowGraph:
-    """Grid graph with independent columns; rows is 2 or 3."""
+    """Grid graph with independent columns; rows is 2 or 3.
 
-    __slots__ = ("s", "rows", "edges", "_at")
+    Vertex (i, j) is numbered (j - 1) * rows + i - 1, its place in
+    vertices(); _ia and _ib hold the numbers of every edge's ends a and b,
+    in edge order."""
+
+    __slots__ = ("s", "rows", "edges", "_at", "_vertices", "_ia", "_ib", "_components")
 
     def __init__(self, s: int, edges: Iterable[RowEdge | tuple], rows: int = 3):
         self.s = s
@@ -50,22 +62,34 @@ class RowGraph:
                 e = RowEdge(eid, tuple(a), tuple(b), rest[0] if rest else None)
             norm.append(e)
         self.edges = tuple(norm)
-        self._at: dict[GridVertex, list[RowEdge]] = {v: [] for v in self.vertices()}
+        self._vertices = verts = tuple((i, j) for j in range(1, s + 1) for i in range(1, rows + 1))
+        index = dict(zip(verts, range(len(verts))))
+        at: list[list[RowEdge]] = [[] for _ in verts]
+        ia: list[int] = []
+        ib: list[int] = []
         seen = set()
         for e in self.edges:
             if e.eid in seen:
                 raise ValueError(f"duplicate row edge id {e.eid!r}")
             seen.add(e.eid)
-            for v in (e.a, e.b):
-                if v not in self._at:
-                    raise ValueError(f"edge {e.eid!r} uses vertex {v} outside the grid")
+            a = index.get(e.a)
+            b = index.get(e.b)
+            if a is None or b is None:
+                v = e.a if a is None else e.b
+                raise ValueError(f"edge {e.eid!r} uses vertex {v} outside the grid")
             if e.a[1] == e.b[1]:
                 raise ValueError(f"edge {e.eid!r} lies inside column {e.a[1]} (columns are independent)")
-            self._at[e.a].append(e)
-            self._at[e.b].append(e)
+            at[a].append(e)
+            at[b].append(e)
+            ia.append(a)
+            ib.append(b)
+        self._at: dict[GridVertex, list[RowEdge]] = dict(zip(verts, at))
+        self._ia = ia
+        self._ib = ib
+        self._components: list[list[int]] | None = None  # see _component_indices
 
     def vertices(self) -> list[GridVertex]:
-        return [(i, j) for j in range(1, self.s + 1) for i in range(1, self.rows + 1)]
+        return list(self._vertices)
 
     def column(self, j: int) -> list[GridVertex]:
         return [(i, j) for i in range(1, self.rows + 1)]
@@ -95,24 +119,40 @@ def row_contract(r: RowGraph) -> Multigraph:
     )
 
 
-def row_components(r: RowGraph) -> list[list[GridVertex]]:
-    """The components of every row's subgraph, each taken with all s of
-    its vertices, so an isolated vertex is a component of its own: one
-    union-find pass over the edges inside a row."""
-    parent = {v: v for v in r.vertices()}
+def _union_rows(r: RowGraph) -> list[list[int]]:
+    """The row components as lists of vertex numbers: one union-find pass
+    over the edges inside a row."""
+    rows = r.rows
+    parent = list(range(len(r._vertices)))
 
     def root(v):
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for e in r.edges:
-        if e.a[0] == e.b[0]:
-            parent[root(e.a)] = root(e.b)
-    comps: dict = {}
-    for v in parent:
+    for a, b in zip(r._ia, r._ib):
+        if a % rows == b % rows:
+            parent[root(a)] = root(b)
+    comps: dict[int, list[int]] = {}
+    for v in range(len(parent)):
         comps.setdefault(root(v), []).append(v)
     return list(comps.values())
+
+
+def _component_indices(r: RowGraph) -> list[list[int]]:
+    """The row components of r as vertex numbers, worked out on first use
+    and kept on r."""
+    if r._components is None:
+        r._components = _union_rows(r)
+    return r._components
+
+
+def row_components(r: RowGraph) -> list[list[GridVertex]]:
+    """The components of every row's subgraph, each taken with all s of
+    its vertices, so an isolated vertex is a component of its own.  They
+    come in the order of their first vertices, each in vertex order."""
+    verts = r._vertices
+    return [[verts[v] for v in comp] for comp in _component_indices(r)]
 
 
 def build_row_graph(g: Multigraph, frame, coloring) -> RowGraph:
@@ -156,7 +196,8 @@ def amiable_violations(r: RowGraph, a: AmiableColoring) -> list[str]:
     vertex sharing a color with an incident edge, and for every column and
     every color an even number of incidences of that color."""
     out = []
-    for v in r.vertices():
+    verts = r._vertices
+    for v in verts:
         if v not in a.f:
             out.append(f"vertex {v} uncolored")
     for e in r.edges:
@@ -164,20 +205,23 @@ def amiable_violations(r: RowGraph, a: AmiableColoring) -> list[str]:
             out.append(f"edge {e.eid!r} uncolored")
     if out:
         return out
-    for j in range(1, r.s + 1):
-        colors = [a.f[v] for v in r.column(j)]
+    rows = r.rows
+    f = [a.f[v] for v in verts]
+    for k in range(0, len(f), rows):
+        colors = f[k : k + rows]
         if len(set(colors)) != len(colors):
-            out.append(f"column {j} repeats a vertex color")
-    count: dict = {}  # (column, color) -> edge ends of that color in the column
-    for e in r.edges:
+            out.append(f"column {k // rows + 1} repeats a vertex color")
+    count: list[dict] = [{} for _ in range(r.s)]  # count[j - 1][color]: ends of that color at column j
+    for e, ka, kb in zip(r.edges, r._ia, r._ib):
         color = a.g[e.eid]
-        for v in (e.a, e.b):
-            if a.f[v] == color:
+        for v, k in ((e.a, ka), (e.b, kb)):
+            if f[k] == color:
                 out.append(f"edge {e.eid!r} shares color {color} with vertex {v}")
-            count[v[1], color] = count.get((v[1], color), 0) + 1
-    for j in range(1, r.s + 1):
+            at = count[k // rows]
+            at[color] = at.get(color, 0) + 1
+    for j, at in enumerate(count, start=1):
         for color in (1, 2, 3):
-            total = count.get((j, color), 0)
+            total = at.get(color, 0)
             if total % 2 != 0:
                 out.append(f"column {j} has odd count {total} of color {color}")
     return out
@@ -242,7 +286,8 @@ def _least_solution(pivots: list[int], nvars: int) -> int:
 
 
 def extend_to_amiable(r: RowGraph, f: dict) -> dict | None:
-    """An edge coloring g making (f, g) amiable, or None.
+    """An edge coloring g making (f, g) amiable, or None; f colors every
+    vertex 1, 2 or 3.
 
     Over GF(2): an edge whose ends have different colors is forced to the
     third color; an edge whose ends share a color c takes the smaller or
@@ -250,29 +295,36 @@ def extend_to_amiable(r: RowGraph, f: dict) -> dict | None:
     color) count must be even.  Of all extensions this returns the first in
     edge order with the smaller color tried first.
     """
-    for j in range(1, r.s + 1):
-        colors = [f[v] for v in r.column(j)]
-        if len(set(colors)) != len(colors):
+    rows = r.rows
+    verts = r._vertices
+    colors = []  # f by vertex number, read column by column while each is rainbow
+    for k in range(0, len(verts), rows):
+        column = [f[v] for v in verts[k : k + rows]]
+        if len(set(column)) != len(column):
             return None
-    nvars = sum(1 for e in r.edges if f[e.a] == f[e.b])
+        colors += column
+    color_a = [colors[a] for a in r._ia]
+    color_b = [colors[b] for b in r._ib]
+    nvars = sum(1 for ca, cb in zip(color_a, color_b) if ca == cb)
     rhs = 1 << nvars
-    equations: dict = {}
+    equations = [0] * (4 * r.s)  # entry 4 * (j - 1) + color: the equation of color at column j
     choices = []  # per edge: its color at bit 0, its color at bit 1, the bit
     var = 1
-    for e in r.edges:
-        if f[e.a] != f[e.b]:
-            third = 6 - f[e.a] - f[e.b]
-            choice = (third, third, 0)
+    for ca, cb, a, b in zip(color_a, color_b, r._ia, r._ib):
+        ja, jb = 4 * (a // rows), 4 * (b // rows)
+        if ca != cb:
+            third = 6 - ca - cb
+            choices.append((third, third, 0))
+            equations[ja + third] ^= rhs
+            equations[jb + third] ^= rhs
         else:
-            lo, hi = [c for c in (1, 2, 3) if c != f[e.a]]
-            choice = (lo, hi, var)
+            lo, hi = [c for c in (1, 2, 3) if c != ca]
+            choices.append((lo, hi, var))
+            for j in (ja, jb):
+                equations[j + lo] ^= rhs ^ var
+                equations[j + hi] ^= var
             var <<= 1
-        lo, hi, bit = choice
-        for j in (e.a[1], e.b[1]):
-            equations[(j, lo)] = equations.get((j, lo), 0) ^ rhs ^ bit
-            equations[(j, hi)] = equations.get((j, hi), 0) ^ bit
-        choices.append(choice)
-    solution = solve_gf2(equations.values(), nvars)
+    solution = solve_gf2(equations, nvars)
     if solution is None:
         return None
     return {e.eid: hi if solution & bit else lo for e, (lo, hi, bit) in zip(r.edges, choices)}
@@ -330,15 +382,18 @@ def brute_force_amiable(
         raise OracleLimitError(f"instance too large for the oracle: s={r.s} > max_s={max_s}")
     nvars = 2 * len(r.edges)
     rhs = 1 << nvars
-    ends = [[[] for _ in range(r.rows)] for _ in range(r.s)]  # the high bit of every edge at (i, j)
+    rows = r.rows
+    ends: list[list[int]] = [[] for _ in r._vertices]  # the high bit of every edge at each vertex
     column_bits = [0] * r.s  # the high bits at column j, one per edge end
-    for k, e in enumerate(r.edges):
+    for k, (a, b) in enumerate(zip(r._ia, r._ib)):
         high = 1 << 2 * k
-        for i, j in (e.a, e.b):
-            ends[j - 1][i - 1].append(high)
-            column_bits[j - 1] ^= high
+        ends[a].append(high)
+        ends[b].append(high)
+        column_bits[a // rows] ^= high
+        column_bits[b // rows] ^= high
     if any(bits.bit_count() % 2 for bits in column_bits):
         return None
+    column_ends = [ends[k : k + rows] for k in range(0, len(ends), rows)]
     pivots = [0] * nvars
     # homogeneous, so always consistent
     _add_rows(pivots, [row for bits in column_bits for row in (bits, bits << 1)], nvars)
@@ -352,7 +407,7 @@ def brute_force_amiable(
         if j == r.s:
             return True
         for perm in perms if j else perms[:1]:
-            added = _add_rows(pivots, [rhs | c * h for hs, c in zip(ends[j], perm) for h in hs], nvars)
+            added = _add_rows(pivots, [rhs | c * h for hs, c in zip(column_ends[j], perm) for h in hs], nvars)
             if added is None:
                 continue
             chosen.append(perm)
@@ -367,7 +422,7 @@ def brute_force_amiable(
         return None
     solution = _least_solution(pivots, nvars)
     return AmiableColoring(
-        f={(i, j): perm[i - 1] for j, perm in enumerate(chosen, start=1) for i in range(1, r.rows + 1)},
+        f=dict(zip(r._vertices, itertools.chain.from_iterable(chosen))),
         # edge k's bits, high first, read back as a color
         g={e.eid: (0, 2, 1, 3)[solution >> 2 * k & 3] for k, e in enumerate(r.edges)},
     )

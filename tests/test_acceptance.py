@@ -249,18 +249,18 @@ def _parity_exists_fast(s, rel12, rel23, blocks_per_row):
 
 
 def _sweep_three_way(s, combined, sample_hook=None):
-    """combined: iterable of (forced, base, deltas, counters, rowconn_by_pair,
-    assignments); yields nothing, asserts agreement.
+    """combined: iterable of (forced, base, deltas, counters, joined_by_row,
+    assignments, key) as _instances_for_s yields them; returns the numbers
+    of instances and of colorable ones, and asserts agreement.
 
     The three answers read only the target forced ^ base, the set of
     deltas, the counter mask and the set of joined pairs in each row, so
     they are worked out once per value of those four and every instance
-    is checked through its key."""
+    is checked through its key, one integer that encodes the four."""
     counted = 0
     positive = 0
     answers = {}
-    for forced, base, deltas, counters, joined_by_row, assignments in combined:
-        key = (forced ^ base, frozenset(deltas), counters, tuple(frozenset(pairs) for pairs in joined_by_row))
+    for forced, base, deltas, counters, joined_by_row, assignments, key in combined:
         if key not in answers:
             answers[key] = _three_answers(s, forced ^ base, deltas, counters, joined_by_row)
         ext, std, sym = answers[key]
@@ -299,15 +299,31 @@ def _three_answers(s, target, deltas, counters, joined_by_row):
 
 
 def _instances_for_s(s, max_edges):
-    """Yield combined aggregate data for every eulerian instance."""
+    """Yield combined aggregate data for every eulerian instance, with its
+    sweep key.  The key packs, from the top: a mask with bit d for every
+    distinct delta d, the counter mask, a mask with bit (row - 1) * P + k
+    when that row joins the k-th of the P column pairs, and the target
+    forced ^ base.  Each field has a width of its own, so two instances
+    share a key exactly when they share those four values."""
     pairs = list(itertools.combinations(range(1, s + 1), 2))
+    target_width = 3 * s  # _bit
+    joined_width = 3 * len(pairs)
+    counter_width = 7 * 3  # _ctr: 7 kinds on up to 3 columns
     cache = {}
 
-    def pair_lists(p, q, c):
-        key = (p, q, c)
-        if key not in cache:
-            cache[key] = _precompute_pair(p, q, c)
-        return cache[key]
+    def pair_lists(k, c):
+        """The aggregated multisets on pair k with c edges, each with the
+        masks of its deltas and of its joined (row, pair)s."""
+        if (k, c) not in cache:
+            cache[k, c] = [
+                entry
+                + (
+                    sum(1 << d for d in set(entry[2])),
+                    sum(1 << (row - 1) * len(pairs) + k for row in (1, 2, 3) if entry[4] >> (row - 1) & 1),
+                )
+                for entry in _precompute_pair(*pairs[k], c)
+            ]
+        return cache[k, c]
 
     def vectors(idx, left, acc):
         if idx == len(pairs):
@@ -328,23 +344,27 @@ def _instances_for_s(s, max_edges):
                 break
         if not ok:
             continue
-        lists = [pair_lists(p, q, m) for (p, q), m in zip(pairs, mults)]
+        lists = [pair_lists(k, m) for k, m in enumerate(mults)]
         for combo in itertools.product(*lists):
-            forced = base = counters = 0
+            forced = base = counters = delta_set = joined_set = 0
             deltas = []
             joined = ([], [], [])
             assignments = []
             for (p, q), entry in zip(pairs, combo):
-                f, b, d, c, rc, raw = entry
+                f, b, d, c, rc, raw, d_bits, j_bits = entry
                 forced ^= f
                 base ^= b
                 counters ^= c
                 deltas.extend(d)
+                delta_set |= d_bits
+                joined_set |= j_bits
                 for row in (1, 2, 3):
                     if rc >> (row - 1) & 1:
                         joined[row - 1].append((p, q))
                 assignments.append(((p, q), raw))
-            yield forced, base, tuple(deltas), counters, joined, assignments
+            key = (delta_set << counter_width | counters) << joined_width | joined_set
+            key = key << target_width | forced ^ base
+            yield forced, base, tuple(deltas), counters, joined, assignments, key
 
 
 def _rebuild_row_graph(s, assignments):
@@ -404,7 +424,8 @@ def test_sweep_formulation_matches_library_exhaustively():
     """The aggregated sweep used by criterion 5 equals the library checkers
     on every instance small enough to compare directly."""
     for s, max_edges in ((2, 4), (3, 4)):
-        for forced, base, deltas, counters, joined, assignments in _instances_for_s(
+        keys = {}  # the sweep's key -> the four values it stands for
+        for forced, base, deltas, counters, joined, assignments, key in _instances_for_s(
             s, max_edges
         ):
             r = _rebuild_row_graph(s, assignments)
@@ -412,6 +433,10 @@ def test_sweep_formulation_matches_library_exhaustively():
             assert ext == (extend_to_amiable(r, identity_f(r)) is not None)
             assert std == (find_parity_coloring(r, STANDARD) is not None)
             assert sym == (find_parity_coloring(r, SYMMETRIC) is not None)
+            values = (forced ^ base, frozenset(deltas), counters, tuple(frozenset(pairs) for pairs in joined))
+            assert keys.setdefault(key, values) == values
+        # one key per value of the four, and back
+        assert len(set(keys.values())) == len(keys)
 
 
 def test_criterion_6_shape_constructors():

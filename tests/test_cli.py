@@ -365,6 +365,26 @@ def test_cli_import_leaves_out_networkx():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_row_tables():
+    """Importing the command line runs none of the row layer's cached
+    builders: the oracle's column assignments and the rearrangement table
+    wait for their first caller."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import kotzigcdc.cli; from kotzigcdc import rowgraph; "
+        "print([tuple(f.cache_info())[:2] for f in "
+        "(rowgraph._column_color_assignments, rowgraph._kind_action)])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[(0, 0), (0, 0)]"
+
+
 def test_corpus_generated_small(capsys):
     assert main(["corpus", "--max-vertices", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
