@@ -2,7 +2,6 @@
 
 from .multigraph import (
     Multigraph,
-    VertexMap,
     components,
     contract_edges,
     is_bipartite,

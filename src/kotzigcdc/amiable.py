@@ -398,7 +398,7 @@ def _pair_relations(r: RowGraph, mode: str) -> tuple[list[bool], list[bool]]:
     neighbours in each row with edge multiplicity (bit i - 1 for row i);
     both relations read those bits."""
     if r.rows != 3 and r.s:
-        raise KeyError((3, 1))  # the relations read row 3, which r lacks
+        raise HypothesisError(f"parity colorings need 3 rows; the row graph has {r.rows}")
     odd = [0] * len(r._vertices)
     for a, b in zip(r._ia, r._ib):
         odd[a] ^= 1 << b % 3

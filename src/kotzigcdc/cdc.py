@@ -75,50 +75,38 @@ def partition_chords(f: Frame, coloring: PerfectColoring) -> tuple[frozenset, fr
     return frozenset(parts[1]), frozenset(parts[2]), frozenset(parts[3])
 
 
-def _incidence(g: Multigraph, eids: Iterable[EdgeId]) -> dict:
-    """Vertex -> the ids of eids at it, a loop listed twice, so that list
-    lengths are degrees in the edge set."""
-    at: dict = {}
-    for eid in eids:
-        a, b = g.endpoints(eid)
-        at.setdefault(a, []).append(eid)
-        at.setdefault(b, []).append(eid)
-    return at
-
-
-def _traverse_cycle(g: Multigraph, at: dict, start, first_edge) -> tuple[list, list]:
-    """Walk the cycle through first_edge from start on an incidence map
-    (see _incidence); returns (vertices, edges) in closed order
-    (vertices[0] repeated implicitly)."""
-    vertices = [start]
-    edges = [first_edge]
-    cur = g.other_end(first_edge, start)
-    prev_edge = first_edge
-    while cur != start:
-        vertices.append(cur)
-        nxt = [e for e in at[cur] if e != prev_edge]
-        if len(nxt) != 1:
-            raise HypothesisError("walk requires a 2-regular edge set")
-        prev_edge = nxt[0]
-        edges.append(prev_edge)
-        cur = g.other_end(prev_edge, cur)
-    return vertices, edges
-
-
-def _cycles(g: Multigraph, eids: set) -> tuple[dict, list[tuple[list, list]]]:
-    """Walk each cycle of a 2-regular edge set once, in the order of the
-    cycles' least edge ids.  Returns the set's incidence map, vertex -> its
-    two (edge, far end) pairs (a loop twice), and per cycle its vertices
-    and edges in walk order, edges[k] joining vertices[k] to
-    vertices[k + 1] and the last edge closing the walk.  A vertex of
-    another degree raises HypothesisError, naming the first such vertex in
-    host order."""
+def _pairs(g: Multigraph, eids: Iterable[EdgeId]) -> dict:
+    """Vertex -> its (edge, far end) pairs over eids, a loop's twice, so
+    that list lengths are degrees in the edge set."""
     at: dict = {}
     endpoints = g.endpoints
     for eid in eids:
         a, b = endpoints(eid)
         at.setdefault(a, []).append((eid, b))
         at.setdefault(b, []).append((eid, a))
+    return at
+
+
+def _walk(at: dict, first: EdgeId, start, cur) -> tuple[list, list]:
+    """The closed walk from start along its edge first to cur, on the pairs
+    of a 2-regular edge set (see _pairs): its vertices and edges, edges[k]
+    from vertices[k] to vertices[k + 1], the last edge closing it."""
+    vertices, edges = [start], [first]
+    while cur != start:
+        vertices.append(cur)
+        (e1, w1), (e2, w2) = at[cur]
+        eid, cur = (e2, w2) if e1 == edges[-1] else (e1, w1)
+        edges.append(eid)
+    return vertices, edges
+
+
+def _cycles(g: Multigraph, eids: set) -> tuple[dict, list[tuple[list, list]]]:
+    """Walk each cycle of a 2-regular edge set once, in the order of the
+    cycles' least edge ids.  Returns the set's pairs (see _pairs) and per
+    cycle its walk (see _walk) from the first end of its least edge.  A
+    vertex of another degree raises HypothesisError, naming the first such
+    vertex in host order."""
+    at = _pairs(g, eids)
     bad = [v for v, here in at.items() if len(here) != 2]
     if bad:
         v = g.in_host_order(bad)[0]
@@ -128,13 +116,7 @@ def _cycles(g: Multigraph, eids: set) -> tuple[dict, list[tuple[list, list]]]:
     for seed in sorted_edge_ids(eids):
         if seed in seen:
             continue
-        start, cur = g.endpoints(seed)
-        vertices, edges = [start], [seed]
-        while cur != start:
-            vertices.append(cur)
-            (e1, w1), (e2, w2) = at[cur]
-            eid, cur = (e2, w2) if e1 == edges[-1] else (e1, w1)
-            edges.append(eid)
+        vertices, edges = _walk(at, seed, *g.endpoints(seed))
         seen.update(edges)
         out.append((vertices, edges))
     return at, out
@@ -354,7 +336,10 @@ def verify_cdc(g: Multigraph, cert: CdcCertificate) -> CdcReport:
 
     Valid means: at most six classes, every listed cycle is a 2-regular
     connected subgraph, classes are internally edge-disjoint, and every
-    host edge lies in exactly two cycles overall.
+    host edge lies in exactly two cycles overall.  Each listed cycle's
+    (edge, far end) pairs are read from the host once (see _pairs); the
+    degrees come from them, and a 2-regular cycle is connected when one
+    walk on them from its first edge takes in all of its edges.
     """
     violations = []
     coverage = {eid: 0 for eid in g.edge_ids}
@@ -372,14 +357,13 @@ def verify_cdc(g: Multigraph, cert: CdcCertificate) -> CdcReport:
             if missing:
                 violations.append(f"{name} uses unknown edges {missing}")
                 continue
-            at = _incidence(g, eids)
+            at = _pairs(g, eids)
             bad_degree = [v for v, here in at.items() if len(here) != 2]
             if bad_degree:
                 violations.append(f"{name} is not 2-regular at {g.in_host_order(bad_degree)}")
             elif not eids:
                 violations.append(f"{name} is empty")
-            elif len(_traverse_cycle(g, at, g.endpoints(eids[0])[0], eids[0])[1]) != len(eids):
-                # a 2-regular edge set is one cycle iff one walk takes in all of it
+            elif len(_walk(at, eids[0], *g.endpoints(eids[0]))[1]) != len(eids):
                 violations.append(f"{name} is disconnected")
             overlap = used_in_class & set(eids)
             if overlap:

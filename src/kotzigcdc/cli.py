@@ -43,6 +43,8 @@ EXIT_NO_FRAME = 2
 EXIT_INPUT = 3
 
 JOBS_ENV = "KOTZIGCDC_JOBS"
+# what reading a bad graph, frame or certificate file raises (RecursionError: JSON nested too deep)
+UNREADABLE = (GraphFormatError, OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError)
 
 
 @dataclass
@@ -155,7 +157,7 @@ def cmd_pipeline(args) -> int:
     try:
         g = _load_single_graph(args.graph, args.format)
         strategy, frame_edges = _strategy_from_args(args)
-    except (GraphFormatError, NotCubicError, OSError, json.JSONDecodeError) as exc:
+    except (*UNREADABLE, NotCubicError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -192,7 +194,7 @@ def cmd_verify(args) -> int:
     try:
         g = _load_single_graph(args.graph, args.format)
         cert = CdcCertificate.from_json(json.loads(Path(args.certificate).read_text()))
-    except (GraphFormatError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except UNREADABLE as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = verify_cdc(g, cert)
@@ -321,7 +323,7 @@ def cmd_corpus(args) -> int:
                 continue
             try:
                 graphs = load_graphs(path)
-            except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except UNREADABLE as exc:
                 unreadable.append(RunReport(name=path.name, outcome="input_error", error=str(exc)))
                 continue
             for idx, g in enumerate(graphs):

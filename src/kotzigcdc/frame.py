@@ -1,10 +1,13 @@
 """Kotzig frames: validation, perfect colorings, witnesses and search.
 
 A frame of a cubic graph is a spanning subgraph whose components are even
-cycles ("C") or even subdivisions of Kotzig graphs ("K").  Chords are the
-non-frame edges that stay inside one component; the other non-frame edges
-are free.  Contracting every component to its label leaves the free edges
-as an eulerian multigraph.  Under a perfect coloring that contraction is
+cycles ("C") or even subdivisions of Kotzig graphs ("K").  A component is a
+cycle when every vertex in it has frame degree 2; a cycle carries no
+subgraph and is read from its vertex and edge tuples, and only K-components
+are built as subgraphs and classified.  Chords are the non-frame edges that
+stay inside one component; the other non-frame edges are free.
+Contracting every component to its label leaves the free edges as an
+eulerian multigraph.  Under a perfect coloring that contraction is
 the row graph (rowgraph.build_row_graph): each free edge sits at (color,
 label) at both ends, and the edges of color class c are those inside row
 c.  The well-connected witness is read off its rows.
@@ -18,7 +21,8 @@ from typing import Iterable, Iterator
 
 from .errors import FrameError, GraphFormatError, NotCubicError, OracleLimitError
 from .kotzig import (
-    CYCLE,
+    COLORS,
+    CYCLE_CLASSIFICATION,
     KOTZIG_SUBDIVISION,
     Classification,
     classify_component,
@@ -42,12 +46,16 @@ K_KIND = "K"
 
 @dataclass(frozen=True)
 class FrameComponent:
+    """One component of a frame.  A cycle (every vertex of frame degree 2)
+    has the shared CYCLE_CLASSIFICATION and no piece; a K-component has its
+    Kotzig classification and its subgraph as piece."""
+
     label: int  # 1..s
     kind: str  # C_KIND or K_KIND
     vertices: tuple[Vertex, ...]
     edge_ids: tuple[EdgeId, ...]
     classification: Classification
-    piece: Multigraph = field(compare=False, repr=False)  # the component as a subgraph
+    piece: Multigraph | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,9 @@ def validate_frame(g: Multigraph, frame_edges: Iterable[EdgeId]) -> Frame:
     every vertex its frame neighbours, so its frame degree (a loop counts
     2); the components are read off those lists, ordered by least vertex
     (sorted_vertices), each listing its vertices by (type name, repr).
+    A component whose vertices all have frame degree 2 is connected and
+    2-regular, so a cycle, and is not built as a subgraph; the others are
+    built and classified.
     """
     if not g.is_cubic():
         raise NotCubicError("frame host must be 3-regular")
@@ -160,23 +171,18 @@ def validate_frame(g: Multigraph, frame_edges: Iterable[EdgeId]) -> Frame:
             raise FrameError(
                 f"component {sorted(map(repr, comp_vertices))} has odd order {len(comp_vertices)}"
             )
-        piece = g.subgraph_of_edges(comp_eids, keep_vertices=comp_vertices)
+        vertices, eids = tuple(comp_vertices), tuple(comp_eids)
+        if all(len(near[v]) == 2 for v in vertices):
+            out.append(FrameComponent(idx, C_KIND, vertices, eids, CYCLE_CLASSIFICATION))
+            continue
+        piece = g.subgraph_of_edges(eids, keep_vertices=vertices)
         cls = classify_component(piece)
-        if cls.kind not in (CYCLE, KOTZIG_SUBDIVISION):
+        if cls.kind != KOTZIG_SUBDIVISION:
             raise FrameError(
                 f"component {sorted(map(repr, comp_vertices))} is neither a cycle "
                 "nor a Kotzig subdivision"
             )
-        out.append(
-            FrameComponent(
-                label=idx,
-                kind=C_KIND if cls.kind == CYCLE else K_KIND,
-                vertices=tuple(comp_vertices),
-                edge_ids=tuple(comp_eids),
-                classification=cls,
-                piece=piece,
-            )
-        )
+        out.append(FrameComponent(idx, K_KIND, vertices, eids, cls, piece))
 
     # host is cubic, so every 2-valent frame vertex has exactly one free edge
     for v in g.vertices:
@@ -188,10 +194,17 @@ def validate_frame(g: Multigraph, frame_edges: Iterable[EdgeId]) -> Frame:
 def is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
     """Frame-level perfect coloring test: each K-component lifts a Kotzig
     coloring of its base, each C-component is monochromatic."""
+    vertex_color, edge_color = coloring.vertex_color, coloring.edge_color
     for comp in f.components:
-        if not is_perfect_component_coloring(
-            comp.piece, comp.classification, coloring.vertex_color, coloring.edge_color
-        ):
+        if comp.piece is not None:
+            if not is_perfect_component_coloring(comp.piece, comp.classification, vertex_color, edge_color):
+                return False
+            continue
+        try:  # a cycle: one color on all its vertices and edges
+            colors = {edge_color[e] for e in comp.edge_ids} | {vertex_color[v] for v in comp.vertices}
+        except KeyError:
+            return False
+        if len(colors) != 1:
             return False
     return True
 
@@ -237,6 +250,18 @@ def assemble_coloring(fragments: dict[int, tuple[dict, dict]]) -> PerfectColorin
     return PerfectColoring(vertex_color=vertex_color, edge_color=edge_color)
 
 
+def _component_colorings(host: Multigraph, comp: FrameComponent, representatives: bool) -> Iterator:
+    """A component's perfect-coloring fragments (vertex_color, edge_color),
+    as enumerate_perfect_colorings gives them for its subgraph: a cycle's
+    vertices in host order and its edges in edge_ids order."""
+    if comp.piece is not None:
+        yield from enumerate_perfect_colorings(comp.piece, comp.classification, representatives)
+        return
+    vertices = host.in_host_order(comp.vertices)
+    for c in (1,) if representatives else COLORS:
+        yield dict.fromkeys(vertices, c), dict.fromkeys(comp.edge_ids, c)
+
+
 def enumerate_frame_colorings(f: Frame) -> Iterator[PerfectColoring]:
     """Product of per-component perfect colorings, with the first searched
     component pinned up to global color permutation, in the order of
@@ -246,7 +271,7 @@ def enumerate_frame_colorings(f: Frame) -> Iterator[PerfectColoring]:
     order = _component_order_for_search(f)
     labels = [comp.label for comp in order]
     streams = [
-        enumerate_perfect_colorings(comp.piece, comp.classification, representatives=(pos == 0))
+        _component_colorings(f.host, comp, representatives=(pos == 0))
         for pos, comp in enumerate(order)
     ]
     drawn: list[list] = [[] for _ in order]
@@ -415,49 +440,34 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
 
 
 def _degree_constrained_subsets(g: Multigraph) -> Iterator[frozenset]:
-    """Edge subsets in which every vertex keeps degree 2 or 3."""
+    """Edge subsets in which every vertex keeps degree 2 or 3.  Each edge,
+    in sorted order, is taken first and then left out, so larger frames
+    surface earlier; a branch stops once some vertex has more than 3 edges
+    taken or can no longer reach 2."""
     eids = sorted_edge_ids(g.edge_ids)
-    n = len(eids)
     chosen_deg = {v: 0 for v in g.vertices}
     remaining_deg = {v: g.degree(v) for v in g.vertices}
     picked: list = []
 
-    def incident_count(eid, v):
-        a, b = g.endpoints(eid)
-        if a == b:
-            return 2 if v == a else 0
-        return 1 if v in (a, b) else 0
-
-    def feasible() -> bool:
-        return all(
-            chosen_deg[v] <= 3 and chosen_deg[v] + remaining_deg[v] >= 2
-            for v in g.vertices
-        )
-
     def rec(idx: int) -> Iterator[frozenset]:
-        if idx == n:
+        if idx == len(eids):
             if all(chosen_deg[v] in (2, 3) for v in g.vertices):
                 yield frozenset(picked)
             return
-        eid = eids[idx]
-        a, b = g.endpoints(eid)
-        touched = (a,) if a == b else (a, b)
-        # include first: larger frames surface earlier
+        ends = g.endpoints(eids[idx])  # a loop names its vertex twice: it counts 2
         for take in (True, False):
-            for v in touched:
-                remaining_deg[v] -= incident_count(eid, v)
-                if take:
-                    chosen_deg[v] += incident_count(eid, v)
+            for v in ends:
+                remaining_deg[v] -= 1
+                chosen_deg[v] += take
             if take:
-                picked.append(eid)
-            if feasible():
+                picked.append(eids[idx])
+            if all(chosen_deg[v] <= 3 and chosen_deg[v] + remaining_deg[v] >= 2 for v in g.vertices):
                 yield from rec(idx + 1)
             if take:
                 picked.pop()
-            for v in touched:
-                remaining_deg[v] += incident_count(eid, v)
-                if take:
-                    chosen_deg[v] -= incident_count(eid, v)
+            for v in ends:
+                remaining_deg[v] += 1
+                chosen_deg[v] -= take
 
     yield from rec(0)
 
@@ -482,8 +492,10 @@ def search_frames(
     frame: every frame component is 2-edge-connected (cycles, and
     subdivisions of hamiltonian Kotzig graphs), so no component holds the
     bridge, yet each side of a bridge of a cubic graph has odd order and
-    the components have even order.
+    the components have even order.  A host with no vertex is refused.
     """
+    if not g.vertices:
+        raise GraphFormatError("the graph has no vertices")
     if strategy == "user_supplied":
         if frame_edges is None:
             raise ValueError("user_supplied strategy needs frame_edges")

@@ -15,6 +15,7 @@ from .multigraph import Multigraph
 
 _G6_HEADER = ">>graph6<<"
 _S6_HEADER = ">>sparse6<<"
+MAX_VERTICES = 1_000_000  # the largest order a graph6 or sparse6 size field may declare
 
 
 def _decode_number(data: bytes, pos: int) -> tuple[int, int]:
@@ -27,20 +28,26 @@ def _decode_number(data: bytes, pos: int) -> tuple[int, int]:
     if c < 63:
         return c, pos + 1
     if pos + 3 < len(data) and data[pos + 1] - 63 == 63:
-        chunk = data[pos + 2 : pos + 8]
+        chunk, end = data[pos + 2 : pos + 8], pos + 8
         if len(chunk) < 6:
             raise GraphFormatError("truncated long size field")
-        n = 0
-        for byte in chunk:
-            n = (n << 6) | (byte - 63)
-        return n, pos + 8
-    chunk = data[pos + 1 : pos + 4]
-    if len(chunk) < 3:
-        raise GraphFormatError("truncated size field")
+    else:
+        chunk, end = data[pos + 1 : pos + 4], pos + 4
+        if len(chunk) < 3:
+            raise GraphFormatError("truncated size field")
     n = 0
     for byte in chunk:
         n = (n << 6) | (byte - 63)
-    return n, pos + 4
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"size field declares {n} vertices, more than {MAX_VERTICES}")
+    return n, end
+
+
+def _ascii(line: str | bytes) -> bytes:
+    try:
+        return line.encode("ascii") if isinstance(line, str) else line
+    except UnicodeEncodeError:
+        raise GraphFormatError("graph6 and sparse6 lines are ASCII") from None
 
 
 def _bit_stream(data: bytes, pos: int):
@@ -58,7 +65,7 @@ def parse_graph6(line: str | bytes) -> Multigraph:
     The data must end with the byte that holds the last bit of the
     adjacency matrix, and the padding bits after that bit must be 0.
     """
-    data = line.encode("ascii") if isinstance(line, str) else line
+    data = _ascii(line)
     data = data.strip()
     if data.startswith(_G6_HEADER.encode()):
         data = data[len(_G6_HEADER):]
@@ -89,7 +96,7 @@ def parse_graph6(line: str | bytes) -> Multigraph:
 
 def parse_sparse6(line: str | bytes) -> Multigraph:
     """Parse one sparse6 line; loops and parallel edges are preserved."""
-    data = line.encode("ascii") if isinstance(line, str) else line
+    data = _ascii(line)
     data = data.strip()
     if data.startswith(_S6_HEADER.encode()):
         data = data[len(_S6_HEADER):]

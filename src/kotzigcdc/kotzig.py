@@ -214,6 +214,9 @@ class Classification:
     witness_coloring: dict | None = None  # a Kotzig coloring of the base
 
 
+CYCLE_CLASSIFICATION = Classification(kind=CYCLE)  # the one every cycle shares
+
+
 def classify_component(h: Multigraph) -> Classification:
     """Classify a connected graph as a cycle, a Kotzig-graph subdivision, or
     neither.
@@ -226,7 +229,7 @@ def classify_component(h: Multigraph) -> Classification:
 
     degs = [h.degree(v) for v in h.vertices]
     if degs and all(d == 2 for d in degs):
-        return Classification(kind=CYCLE)
+        return CYCLE_CLASSIFICATION
     if not all(d in (2, 3) for d in degs):
         return Classification(kind=NEITHER)
     try:

@@ -8,8 +8,7 @@ and safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 from .errors import GraphFormatError
 
@@ -149,16 +148,6 @@ class Multigraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Multigraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
-
-
-@dataclass(frozen=True)
-class VertexMap:
-    """Total map from the vertices of a source graph onto a quotient."""
-
-    mapping: Mapping[Vertex, Vertex]
-
-    def __getitem__(self, v: Vertex) -> Vertex:
-        return self.mapping[v]
 
 
 def _sort_key(value):
@@ -304,8 +293,7 @@ def _rooted_forest(g: Multigraph):
         parent[start] = None
         parent_edge[start] = None
         queue = [start]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # read front to back as it grows, with no pop(0)
             for eid in sorted_edge_ids(g.incident_edges(v)):
                 w = g.other_end(eid, v)
                 if w not in parent:
@@ -320,8 +308,9 @@ def _rooted_forest(g: Multigraph):
 
 def contract_edges(
     g: Multigraph, contracted: Iterable[EdgeId], delete_loops: bool = True
-) -> tuple[Multigraph, VertexMap]:
-    """Merge the endpoints of every contracted edge.
+) -> tuple[Multigraph, dict[Vertex, int]]:
+    """Merge the endpoints of every contracted edge: the quotient on 0, 1,
+    ..., and a dict from each vertex to its image.
 
     Surviving edges keep their ids.  Loops that arise from contraction are
     removed iff delete_loops; pre-existing loops on merged vertices are kept
@@ -365,7 +354,7 @@ def contract_edges(
             continue  # loop arising from contraction
         new_edges.append((eid, na, nb))
     result = Multigraph(range(len(groups)), new_edges)
-    return result, VertexMap(mapping)
+    return result, mapping
 
 
 def suppress_degree2(h: Multigraph) -> tuple[Multigraph, dict[EdgeId, tuple[EdgeId, ...]]]:

@@ -945,6 +945,19 @@ def test_double_cross_edge_has_standard_parity_coloring():
     assert find_parity_coloring(r, STANDARD) is not None
 
 
+def test_parity_routines_refuse_fewer_than_three_rows():
+    """A 2-row graph with a column gets an error that says what is wrong,
+    not a KeyError; one with no column has nothing to check."""
+    r = RowGraph(2, [(0, (1, 1), (2, 2)), (1, (2, 1), (1, 2))], rows=2)
+    for call in (
+        lambda: find_parity_coloring(r, STANDARD),
+        lambda: is_parity_coloring(r, ParityColoring(black=frozenset(), mode=SYMMETRIC)),
+    ):
+        with pytest.raises(HypothesisError, match=r"^parity colorings need 3 rows; the row graph has 2$"):
+            call()
+    assert find_parity_coloring(RowGraph(0, [], rows=2), STANDARD) is not None
+
+
 # -- frame-level normalization -------------------------------------------------------
 
 

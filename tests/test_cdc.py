@@ -136,7 +136,7 @@ def test_two_cycle_cover_coverage_structure():
 def test_walk_rejects_a_path():
     g = path_graph(4)
     with pytest.raises(HypothesisError, match="walk requires a 2-regular edge set"):
-        cdc._traverse_cycle(g, cdc._incidence(g, g.edge_ids), 1, 1)
+        _traverse_cycle(g, _incidence(g, g.edge_ids), 1, 1)
 
 
 # -- full assembly ---------------------------------------------------------------------
@@ -405,6 +405,81 @@ def oracle_verify_cdc(g, cert):
     return CdcReport(valid=not violations, violations=violations, coverage=coverage)
 
 
+# The walk on lists of edge ids that cdc.py used before it walked on
+# (edge, far end) pairs, and the verifier built on it.  Kept as the referee
+# for cdc.verify_cdc: same validity, violations and coverage.
+
+
+def _incidence(g, eids):
+    """Vertex -> the ids of eids at it, a loop listed twice, so that list
+    lengths are degrees in the edge set."""
+    at: dict = {}
+    for eid in eids:
+        a, b = g.endpoints(eid)
+        at.setdefault(a, []).append(eid)
+        at.setdefault(b, []).append(eid)
+    return at
+
+
+def _traverse_cycle(g, at, start, first_edge):
+    """Walk the cycle through first_edge from start on an incidence map
+    (see _incidence); returns (vertices, edges) in closed order
+    (vertices[0] repeated implicitly)."""
+    vertices = [start]
+    edges = [first_edge]
+    cur = g.other_end(first_edge, start)
+    prev_edge = first_edge
+    while cur != start:
+        vertices.append(cur)
+        nxt = [e for e in at[cur] if e != prev_edge]
+        if len(nxt) != 1:
+            raise HypothesisError("walk requires a 2-regular edge set")
+        prev_edge = nxt[0]
+        edges.append(prev_edge)
+        cur = g.other_end(prev_edge, cur)
+    return vertices, edges
+
+
+def referee_verify_cdc(g, cert):
+    violations = []
+    coverage = {eid: 0 for eid in g.edge_ids}
+    if len(cert.classes) > 6:
+        violations.append(f"{len(cert.classes)} classes exceed the limit of 6")
+    for label, cycles in sorted(cert.classes.items()):
+        used_in_class: set = set()
+        for idx, cyc in enumerate(cycles):
+            name = f"{label}[{idx}]"
+            eids = list(cyc)
+            if len(set(eids)) != len(eids):
+                violations.append(f"{name} repeats an edge")
+                continue
+            missing = [e for e in eids if not g.has_edge(e)]
+            if missing:
+                violations.append(f"{name} uses unknown edges {missing}")
+                continue
+            at = _incidence(g, eids)
+            bad_degree = [v for v, here in at.items() if len(here) != 2]
+            if bad_degree:
+                violations.append(f"{name} is not 2-regular at {g.in_host_order(bad_degree)}")
+            elif not eids:
+                violations.append(f"{name} is empty")
+            elif len(_traverse_cycle(g, at, g.endpoints(eids[0])[0], eids[0])[1]) != len(eids):
+                violations.append(f"{name} is disconnected")
+            overlap = used_in_class & set(eids)
+            if overlap:
+                violations.append(
+                    f"class {label} reuses edges {sorted_edge_ids(overlap)} across cycles"
+                )
+            used_in_class.update(eids)
+            for e in eids:
+                if e in coverage:
+                    coverage[e] += 1
+    for eid, count in coverage.items():
+        if count != 2:
+            violations.append(f"edge {eid!r} is covered {count} times, expected 2")
+    return CdcReport(valid=not violations, violations=violations, coverage=coverage)
+
+
 # The cover assembly that walked each frame cycle twice and each output
 # cycle twice more, on one incidence map per class.  Kept as the referee
 # for cdc.two_cycle_cover_even: same cycles, same order, same errors.
@@ -412,12 +487,12 @@ def oracle_verify_cdc(g, cert):
 
 def referee_canonical_cycle(g, at, vertices):
     start = sorted_edge_ids(vertices)[0]
-    return tuple(cdc._traverse_cycle(g, at, start, sorted_edge_ids(at[start])[0])[1])
+    return tuple(_traverse_cycle(g, at, start, sorted_edge_ids(at[start])[0])[1])
 
 
 def referee_cycle_components(g, eids):
     eids = set(eids)
-    at = cdc._incidence(g, eids)
+    at = _incidence(g, eids)
     bad = [v for v, here in at.items() if len(here) != 2]
     if bad:
         v = g.in_host_order(bad)[0]
@@ -427,7 +502,7 @@ def referee_cycle_components(g, eids):
     for seed in sorted_edge_ids(eids):
         if seed in seen:
             continue
-        vertices, edges = cdc._traverse_cycle(g, at, g.endpoints(seed)[0], seed)
+        vertices, edges = _traverse_cycle(g, at, g.endpoints(seed)[0], seed)
         seen.update(edges)
         out.append(vertices)
     return at, out
@@ -471,7 +546,7 @@ def referee_two_cycle_cover_even(g, cycle_edges, matching_edges):
         first_edge = min(
             at[start], key=lambda e: (*_sort_key(g.other_end(e, start)), *_sort_key(e))
         )
-        order_vertices, order_edges = cdc._traverse_cycle(g, at, start, first_edge)
+        order_vertices, order_edges = _traverse_cycle(g, at, start, first_edge)
         segments: list[list] = [[]]
         for pos, eid in enumerate(order_edges):
             segments[-1].append(eid)
@@ -535,27 +610,99 @@ CORRUPTIONS = ("none", "drop", "duplicate", "merge", "unknown", "repeat", "subse
 @given(st.data())
 def test_verifier_matches_the_oracle_on_corrupted_certificates(corpus_covers, data):
     g, cert = data.draw(st.sampled_from([gc for gc in corpus_covers if gc[1] is not None]))
-    classes = {label: [list(c) for c in cycles] for label, cycles in cert["classes"].items()}
-    places = [(label, i) for label, cycles in sorted(classes.items()) for i in range(len(cycles))]
-    label, i = data.draw(st.sampled_from(places))
-    cycle = classes[label][i]
     kind = data.draw(st.sampled_from(CORRUPTIONS))
+    rng = data.draw(st.randoms(use_true_random=False))
+    damaged = CdcCertificate.from_json({"classes": damaged_classes(cert["classes"], kind, rng, list(g.edge_ids))})
+    new, old = verify_cdc(g, damaged), oracle_verify_cdc(g, damaged)
+    assert (new.valid, new.violations, new.coverage) == (old.valid, old.violations, old.coverage)
+
+
+def renamed_edges(g, scheme):
+    """g with edge k (in edge order) renamed: an int, a str, a tuple, or
+    for "mixed" the three in turn; and the renaming."""
+    def name(k):
+        kind = {"int": 0, "str": 1, "tuple": 2}.get(scheme, k % 3)
+        return (k, f"e{k}", (k, "x"))[kind]
+
+    rename = {eid: name(k) for k, eid in enumerate(g.edge_ids)}
+    return Multigraph(g.vertices, [(rename[e], a, b) for e, a, b in g.edges()]), rename
+
+
+def damaged_classes(classes, kind, rng, edge_ids):
+    """A copy of a certificate's classes with one corruption of CORRUPTIONS
+    made at a random place."""
+    classes = {label: [list(c) for c in cycles] for label, cycles in classes.items()}
+    places = [(label, i) for label, cycles in sorted(classes.items()) for i in range(len(cycles))]
+    if not places:
+        return classes
+    label, i = rng.choice(places)
+    cycle = classes[label][i]
     if kind == "drop":
         del classes[label][i]
     elif kind == "duplicate":
         classes[label].append(list(cycle))
     elif kind == "merge" and len(places) > 1:
-        other, j = data.draw(st.sampled_from([p for p in places if p != (label, i)]))
+        other, j = rng.choice([p for p in places if p != (label, i)])
         cycle.extend(classes[other].pop(j))
     elif kind == "unknown":
-        cycle.insert(data.draw(st.integers(0, len(cycle))), 10**6)
-    elif kind == "repeat":
-        cycle.append(data.draw(st.sampled_from(cycle)))
+        cycle.insert(rng.randint(0, len(cycle)), 10**6)
+    elif kind == "repeat" and cycle:
+        cycle.append(rng.choice(cycle))
     elif kind == "subset":
-        cycle[:] = data.draw(st.lists(st.sampled_from(g.edge_ids), unique=True))
-    damaged = CdcCertificate.from_json({"classes": classes})
-    new, old = verify_cdc(g, damaged), oracle_verify_cdc(g, damaged)
-    assert (new.valid, new.violations, new.coverage) == (old.valid, old.violations, old.coverage)
+        cycle[:] = rng.sample(edge_ids, rng.randint(0, len(edge_ids)))
+    return classes
+
+
+def short_cycles(g):
+    """Every loop and every pair of parallel edges, each as a cycle."""
+    loops = [[e] for e in g.edge_ids if g.is_loop(e)]
+    by_ends: dict = {}
+    for e, a, b in g.edges():
+        if a != b:
+            by_ends.setdefault(frozenset((a, b)), []).append(e)
+    return loops + [list(pair) for es in by_ends.values() for pair in itertools.combinations(es, 2)]
+
+
+def test_verifier_matches_the_referee_on_every_id_type(corpus_covers):
+    """verify_cdc gives the referee's validity, violations in order and
+    coverage on every graph of cubic_corpus(10), its edges named by ints,
+    strs, tuples and a mix: on each certificate and every corruption of
+    it, and on seeded classes of loops, digons and random edge lists.  Two
+    cubic hosts with loops join them, as the corpus has none."""
+    rng = random.Random(2020)
+    reports = []
+    loops = digons = 0
+    with_loops = [
+        Multigraph([0, 1], [(0, 0, 0), (1, 0, 1), (2, 1, 1)]),
+        Multigraph(range(4), [(0, 0, 0), (1, 0, 1), (2, 1, 2), (3, 1, 3), (4, 2, 3), (5, 2, 3)]),
+    ]
+    for g0, cert in corpus_covers + [(g, None) for g in with_loops]:
+        for scheme in ("int", "str", "tuple", "mixed"):
+            g, rename = renamed_edges(g0, scheme)
+            edge_ids = list(g.edge_ids)
+            tries = []
+            if cert is not None:
+                classes = {label: [[rename[e] for e in c] for c in cycles] for label, cycles in cert["classes"].items()}
+                tries += [damaged_classes(classes, kind, rng, edge_ids) for kind in CORRUPTIONS]
+            short = short_cycles(g)
+            for _ in range(4):
+                cycles = rng.sample(short, min(len(short), rng.randint(0, 3)))
+                loops += sum(len(c) == 1 for c in cycles)
+                digons += sum(len(c) == 2 for c in cycles)
+                cycles += [rng.sample(edge_ids, rng.randint(0, min(4, len(edge_ids)))) for _ in range(rng.randint(0, 2))]
+                rng.shuffle(cycles)
+                tries.append({f"{rng.randint(1, 3)}{rng.choice('ab')}": cycles, "1a": [list(c) for c in cycles]})
+            for classes in tries:
+                damaged = CdcCertificate(classes={k: tuple(map(tuple, v)) for k, v in classes.items()})
+                new, old = verify_cdc(g, damaged), referee_verify_cdc(g, damaged)
+                assert (new.valid, new.violations, new.coverage) == (old.valid, old.violations, old.coverage)
+                reports.append(new)
+    text = " | ".join(v for r in reports for v in r.violations)
+    for phrase in ("repeats an edge", "uses unknown edges", "is not 2-regular at", "is empty",
+                   "is disconnected", "across cycles", "expected 2"):
+        assert phrase in text, phrase
+    assert sum(r.valid for r in reports) >= 4 * sum(cert is not None for _, cert in corpus_covers)
+    assert loops > 10 and digons > 100, (loops, digons)
 
 
 @pytest.fixture(scope="module")
@@ -677,10 +824,11 @@ def planted_host(n: int, rng: random.Random, k4s: int = 1):
             return g, list(range(len(frame)))
 
 
-# Measured at 6.3 lookups per edge at both sizes: 2.2 in construct_6cdc,
-# 4.1 in verify_cdc.  The assembly that walked every cycle twice made 13.8,
-# and the subgraph-based one, which scanned per cycle, 100 at 500 vertices
-# and 250 at 2,000.
+# Measured at 4.3 lookups per edge at both sizes: 2.2 in construct_6cdc,
+# 2.1 in verify_cdc, which walks on (edge, far end) pairs; its walk on
+# lists of edge ids (referee_verify_cdc) made 4.1.  The assembly that
+# walked every cycle twice made 13.8, and the subgraph-based one, which
+# scanned per cycle, 100 at 500 vertices and 250 at 2,000.
 LOOKUPS_PER_EDGE = 8
 
 

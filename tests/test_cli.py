@@ -239,6 +239,171 @@ def test_pipeline_frame_file_fuzz(frame_json):
     assert code in (0, 1, 2, 3)
 
 
+def _seed_files() -> dict:
+    """Valid inputs the fuzzing below starts from: graph JSON with int and
+    mixed ids, graph6 and sparse6 lines (sparse6 with parallel edges and
+    loops), and the certificate the pipeline writes for each JSON graph."""
+    mixed = Multigraph(
+        ["a", 1, ("t", 2), 3.5],
+        [(0, "a", 1), ("x", "a", ("t", 2)), (("e", 2), "a", 3.5), (3, 1, ("t", 2)), (4, 1, 3.5), (5, ("t", 2), 3.5)],
+    )
+    graphs = {"theta": theta_graph(), "k4": k4(), "prism": prism(), "mixed": mixed}
+    files = {f"{name}.json": json.dumps(graph_to_json(g)) for name, g in graphs.items()}
+    files.update({"k4.g6": "C~\n", "petersen.g6": "IheA@GUAo\n", "two.g6": ">>graph6<<C~\nEhEG\n"})
+    files.update({"triple.s6": ":A_\n", "dumbbell.s6": ">>sparse6<<:AH\n"})
+    certs = {}
+    for name, g in graphs.items():
+        report = run_pipeline(g, strategy="exhaustive" if name == "mixed" else "two_factor")
+        certs[f"{name}.json"] = json.dumps(report.certificate)
+    return files, certs
+
+
+SEED_FILES, SEED_CERTIFICATES = _seed_files()
+
+BYTE_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace", "repeat")),
+        st.integers(0, 10**4),
+        st.sampled_from(b'{}[]:,"-.0123456789~?@_ \n\xff\xe9eE') | st.integers(0, 255),
+    ),
+    max_size=4,
+)
+
+
+def mutated_bytes(data: bytes, edits) -> bytes:
+    """data with each edit made at its position (taken modulo the length):
+    a byte inserted, deleted or replaced, or the bytes up to there
+    repeated once."""
+    for kind, pos, byte in edits:
+        pos %= len(data) + 1
+        if kind == "insert":
+            data = data[:pos] + bytes([byte]) + data[pos:]
+        elif kind == "delete":
+            data = data[:pos] + data[pos + 1:]
+        elif kind == "replace":
+            data = data[:pos] + bytes([byte]) + data[pos + 1:]
+        else:
+            data = data[:pos] + data[:pos] + data[pos:]
+    return data
+
+
+@st.composite
+def mutated_json(draw, text: str) -> str:
+    """The JSON text with one value somewhere in it replaced by any JSON
+    value, or a key dropped, or left as it is."""
+    obj = json.loads(text)
+    node, path = obj, []
+    while isinstance(node, (list, dict)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append((node, key))
+        node = node[key]
+    if path:
+        parent, key = path[-1]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    elif draw(st.booleans()):
+        obj = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+@st.composite
+def fuzzed_input(draw, name: str, text: str) -> bytes:
+    if name.endswith(".json") and draw(st.booleans()):
+        text = draw(mutated_json(text))
+    return mutated_bytes(text.encode(), draw(BYTE_EDITS))
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main(argv) with its output captured: the exit code and stderr."""
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_mutated_graph_and_certificate_files(data):
+    """Mutated graph JSON, graph6 and sparse6 files and certificate JSON,
+    run through pipeline, verify and corpus, each end with a documented
+    exit code and at most one line on stderr, an input error line, never a
+    traceback."""
+    command = data.draw(st.sampled_from(("pipeline", "verify", "corpus")))
+    if command == "verify":
+        name = data.draw(st.sampled_from(sorted(SEED_CERTIFICATES)))
+        cert = SEED_CERTIFICATES[name]
+        graph, cert = (
+            (data.draw(fuzzed_input(name, SEED_FILES[name])), cert.encode())
+            if data.draw(st.booleans())
+            else (SEED_FILES[name].encode(), data.draw(fuzzed_input("cert.json", cert)))
+        )
+    else:
+        name = data.draw(st.sampled_from(sorted(SEED_FILES)))
+        graph = data.draw(fuzzed_input(name, SEED_FILES[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp) / "graphs"
+        folder.mkdir()
+        gpath = folder / name
+        gpath.write_bytes(graph)
+        if command == "verify":
+            cpath = Path(tmp) / "cert.json"
+            cpath.write_bytes(cert)
+            code, err = run_main(["verify", str(gpath), str(cpath)])
+        elif command == "pipeline":
+            code, err = run_main(["pipeline", str(gpath)])
+        else:
+            code, err = run_main(["corpus", str(folder), "--jobs", "1"])
+    lines = err.strip().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err and len(lines) <= 1
+    assert all(line.startswith("input error:") for line in lines)
+    if code == 3 and command != "corpus":  # corpus reports a bad file in its report
+        assert len(lines) == 1
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("latin1.g6", b"C\xe9~\n", "can't decode byte 0xe9 in position 1"),
+        ("accent.g6", "C\u00e9~\n".encode(), "lines are ASCII"),
+        ("bom.json", b"\xff\xfe{", "can't decode byte 0xff in position 0"),
+        ("huge.s6", b":~~~~~~~~\n", "size field declares 68719476735 vertices, more than 1000000"),
+        ("empty.json", b'{"vertices": [], "edges": []}', "the graph has no vertices"),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "not-ascii", "bom", "huge-size-field", "no-vertices", "deep-json"],
+)
+def test_pipeline_refuses_what_it_cannot_read(tmp_path, capsys, name, content, message):
+    """Files the fuzzing above turned up, and JSON nested past the
+    parser's depth: bytes that are not UTF-8, a graph6 line that is not
+    ASCII, a sparse6 size field past MAX_VERTICES (refused before any
+    vertex is made), a graph with no vertex and the deep JSON each end
+    with exit 3 and one line, in pipeline, verify and corpus."""
+    gpath = tmp_path / name
+    gpath.write_bytes(content)
+    cpath = tmp_path / "cert.json"
+    cpath.write_text('{"classes": {}}')
+    for argv in (["pipeline", str(gpath)], ["verify", str(gpath), str(cpath)]):
+        if name == "empty.json" and argv[0] == "verify":
+            assert main(argv) == 0  # the empty cover covers the empty graph
+            capsys.readouterr()
+            continue
+        assert main(argv) == 3
+        assert message in assert_one_input_error_line(capsys)
+    report = tmp_path / "agg.json"
+    folder = tmp_path / "graphs"
+    folder.mkdir()
+    (folder / name).write_bytes(content)
+    assert main(["corpus", str(folder), "--jobs", "1", "--report", str(report)]) == 3
+    (only,) = json.loads(report.read_text())["reports"]
+    assert only["outcome"] == "input_error" and message in only["error"]
+
+
 def test_scan_rows_small(capsys):
     assert main(["scan-rows", "--columns", "2", "--max-edges", "4"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ from kotzigcdc import frame as frame_module
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, petersen, prism, theta_graph
 from kotzigcdc.cli import run_pipeline
 from kotzigcdc.corpus import cubic_corpus
-from kotzigcdc.errors import FrameError, NotCubicError, OracleLimitError
+from kotzigcdc.errors import FrameError, GraphFormatError, NotCubicError, OracleLimitError
 from kotzigcdc.frame import (
     C_KIND,
     K_KIND,
@@ -27,7 +28,14 @@ from kotzigcdc.frame import (
     well_connected_witness,
 )
 from kotzigcdc.io import parse_graph6
-from kotzigcdc.kotzig import CYCLE, classify_component, enumerate_perfect_colorings
+from kotzigcdc.kotzig import (
+    CYCLE,
+    CYCLE_CLASSIFICATION,
+    KOTZIG_SUBDIVISION,
+    classify_component,
+    enumerate_perfect_colorings,
+    is_perfect_component_coloring,
+)
 from kotzigcdc.multigraph import (
     Multigraph,
     bridges,
@@ -453,15 +461,24 @@ def test_three_k_triangle_has_no_witness():
     assert find_well_connected_frame_coloring(f) is None
 
 
+def component_piece(f: Frame, comp: FrameComponent) -> Multigraph:
+    """The component as a subgraph of the host, as validate_frame built it
+    for every component before cycles went without one."""
+    if comp.piece is not None:
+        return comp.piece
+    return f.host.subgraph_of_edges(comp.edge_ids, keep_vertices=comp.vertices)
+
+
 def listed_frame_colorings(f: Frame):
     """enumerate_frame_colorings as it was before it drew each component's
-    colorings lazily: every list first, then itertools.product."""
+    colorings lazily: every list first, then itertools.product.  Each
+    component's fragments come from its subgraph (component_piece)."""
     order = frame_module._component_order_for_search(f)
     choice_lists = []
     for pos, comp in enumerate(order):
         frags = list(
             enumerate_perfect_colorings(
-                comp.piece, comp.classification, representatives=(pos == 0)
+                component_piece(f, comp), comp.classification, representatives=(pos == 0)
             )
         )
         choice_lists.append((comp.label, frags))
@@ -480,6 +497,180 @@ def test_lazy_frame_colorings_keep_the_product_order():
         lazy = list(enumerate_frame_colorings(f))
         assert len(lazy) > 1
         assert lazy == list(listed_frame_colorings(f))
+
+
+# -- the piece-building validation, kept as the referee -----------------------------
+# validate_frame as it was when every component, cycles included, was built as
+# a subgraph and classified, with the perfect-coloring test and the first
+# coloring read from those subgraphs.
+
+
+def referee_validate_frame(g: Multigraph, frame_edges) -> Frame:
+    if not g.is_cubic():
+        raise NotCubicError("frame host must be 3-regular")
+    frame_edges = tuple(frame_edges)
+    for eid in frame_edges:
+        if not g.has_edge(eid):
+            raise GraphFormatError(f"unknown edge id {eid!r}")
+    frame_edges = frozenset(frame_edges)
+
+    near: dict = {v: [] for v in g.vertices}
+    for eid in frame_edges:
+        a, b = g.endpoints(eid)
+        near[a].append(b)
+        near[b].append(a)
+    position: dict = {}
+    comps: list = []
+    key_rank = g.key_rank()
+    for start in sorted_vertices(g):
+        if start in position:
+            continue
+        position[start] = len(comps)
+        comp, todo = [start], [start]
+        while todo:
+            for w in near[todo.pop()]:
+                if w not in position:
+                    position[w] = len(comps)
+                    comp.append(w)
+                    todo.append(w)
+        comps.append(sorted(comp, key=key_rank.__getitem__))
+
+    eids_of: list = [[] for _ in comps]
+    for eid in sorted_edge_ids(frame_edges):
+        eids_of[position[g.endpoints(eid)[0]]].append(eid)
+
+    out = []
+    for idx, (comp_vertices, comp_eids) in enumerate(zip(comps, eids_of), start=1):
+        if len(comp_vertices) % 2 != 0:
+            raise FrameError(
+                f"component {sorted(map(repr, comp_vertices))} has odd order {len(comp_vertices)}"
+            )
+        piece = g.subgraph_of_edges(comp_eids, keep_vertices=comp_vertices)
+        cls = classify_component(piece)
+        if cls.kind not in (CYCLE, KOTZIG_SUBDIVISION):
+            raise FrameError(
+                f"component {sorted(map(repr, comp_vertices))} is neither a cycle "
+                "nor a Kotzig subdivision"
+            )
+        kind = C_KIND if cls.kind == CYCLE else K_KIND
+        out.append(FrameComponent(idx, kind, tuple(comp_vertices), tuple(comp_eids), cls, piece))
+
+    for v in g.vertices:
+        if len(near[v]) not in (2, 3):
+            raise FrameError(f"vertex {v!r} has frame degree {len(near[v])}")
+    return Frame(host=g, frame_edges=frame_edges, components=tuple(out))
+
+
+def referee_is_perfect_coloring(f: Frame, coloring: PerfectColoring) -> bool:
+    return all(
+        is_perfect_component_coloring(
+            comp.piece, comp.classification, coloring.vertex_color, coloring.edge_color
+        )
+        for comp in f.components
+    )
+
+
+def referee_first_coloring(f: Frame) -> PerfectColoring:
+    """The first coloring of the product: each component's first fragment,
+    the first searched component pinned to its representative."""
+    order = frame_module._component_order_for_search(f)
+    return frame_module.assemble_coloring({
+        comp.label: next(enumerate_perfect_colorings(comp.piece, comp.classification, pos == 0))
+        for pos, comp in enumerate(order)
+    })
+
+
+def frame_key(f: Frame) -> tuple:
+    """A frame's fields, with each classification's base graph read as its
+    vertices and edges (Multigraph compares by identity)."""
+    def classified(cls):
+        base = None if cls.base is None else (cls.base.vertices, cls.base.edges())
+        return cls.kind, base, cls.path_map, cls.witness_coloring
+
+    return f.host, f.frame_edges, [
+        (c.label, c.kind, c.vertices, c.edge_ids, classified(c.classification)) for c in f.components
+    ]
+
+
+def coloring_items(coloring: PerfectColoring) -> tuple:
+    return list(coloring.vertex_color.items()), list(coloring.edge_color.items())
+
+
+def damaged_colorings(f: Frame, coloring: PerfectColoring, rng: random.Random):
+    """The coloring with one vertex or one edge recolored or uncolored, one
+    cycle recolored whole, and all colors permuted."""
+    vc, ec = coloring.vertex_color, coloring.edge_color
+    shift = {1: 2, 2: 3, 3: 1}
+    if vc:  # a frame of cubic K-components has no 2-valent vertex
+        v = rng.choice(list(vc))
+        yield PerfectColoring({**vc, v: shift[vc[v]]}, ec)
+        yield PerfectColoring({u: c for u, c in vc.items() if u != v}, ec)
+    e = rng.choice(list(ec))
+    yield PerfectColoring(vc, {**ec, e: shift[ec[e]]})
+    yield PerfectColoring(vc, {d: c for d, c in ec.items() if d != e})
+    cycles = [c for c in f.components if c.kind == C_KIND]
+    if cycles:
+        comp = rng.choice(cycles)
+        c = shift[ec[comp.edge_ids[0]]]
+        yield PerfectColoring({**vc, **dict.fromkeys(comp.vertices, c)}, {**ec, **dict.fromkeys(comp.edge_ids, c)})
+    yield PerfectColoring({u: shift[c] for u, c in vc.items()}, {d: shift[c] for d, c in ec.items()})
+
+
+def referee_frame_instances():
+    """(host, frame edge set) pairs: every edge set of every graph of
+    cubic_corpus(10) in which each vertex keeps degree 2 or 3, valid or
+    not; planted frames with one, two and three K4 subdivisions among even
+    cycles; and the hand-built frames of this file."""
+    from tests.test_cdc import planted_host, planted_multi_k_hosts
+
+    for g in cubic_corpus(10):
+        for subset in frame_module._degree_constrained_subsets(g):
+            yield g, subset
+    for k4s in (1, 2, 3):
+        for seed in range(3):
+            rng = random.Random(seed)
+            yield planted_host(16 * k4s + rng.choice((0, 4, 8, 12, 40)), rng, k4s)
+    yield from planted_multi_k_hosts(range(10))
+    yield planted_host(400, random.Random(400))
+    yield double_theta_graph(), range(10)
+    yield triple_theta_triangle(), range(15)
+    for g, f in (cube_two_squares_frame(), prism_hamiltonian_frame()):
+        yield g, f.frame_edges
+    yield k4(), k4().edge_ids
+
+
+def test_validate_frame_matches_the_piece_building_referee():
+    """validate_frame builds no subgraph for a cycle, yet gives the
+    referee's frame, or its error type and text; the first coloring, dict
+    order included; and the same perfect-coloring answers on that coloring
+    and on damaged copies of it."""
+    rng = random.Random(20)
+    frames = errors = damaged = 0
+    for g, frame_edges in referee_frame_instances():
+        try:
+            ref = referee_validate_frame(g, frame_edges)
+        except FrameError as exc:
+            with pytest.raises(FrameError) as caught:
+                validate_frame(g, frame_edges)
+            assert str(caught.value) == str(exc)
+            errors += 1
+            continue
+        f = validate_frame(g, frame_edges)
+        assert frame_key(f) == frame_key(ref)
+        for comp, ref_comp in zip(f.components, ref.components):
+            if comp.kind == C_KIND:
+                assert comp.piece is None and comp.classification is CYCLE_CLASSIFICATION
+            else:
+                assert (comp.piece.vertices, comp.piece.edges()) == (ref_comp.piece.vertices, ref_comp.piece.edges())
+        first = next(enumerate_frame_colorings(f))
+        assert coloring_items(first) == coloring_items(referee_first_coloring(ref))
+        assert is_perfect_coloring(f, first) and referee_is_perfect_coloring(ref, first)
+        for bad in damaged_colorings(f, first, rng):
+            assert is_perfect_coloring(f, bad) == referee_is_perfect_coloring(ref, bad)
+            damaged += 1
+        frames += 1
+    assert (frames, errors) == (8320 + 9 + 10 + 1 + 5, 35744 - 8320)
+    assert damaged > 5 * frames
 
 
 # -- sufficiency conditions -----------------------------------------------------
@@ -723,7 +914,7 @@ def validate_labeled(g, frame_edges, labeling):
         piece = g.subgraph_of_edges(eids, keep_vertices=vertices)
         cls = classify_component(piece)
         kind = C_KIND if cls.kind == CYCLE else K_KIND
-        comps.append(FrameComponent(label, kind, vertices, eids, cls, piece))
+        comps.append(FrameComponent(label, kind, vertices, eids, cls, piece if kind == K_KIND else None))
     return Frame(host=g, frame_edges=frame.frame_edges, components=tuple(comps))
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,8 @@ from kotzigcdc.multigraph import (
     is_bipartite,
     is_connected,
     is_eulerian,
+    sorted_edge_ids,
+    sorted_vertices,
     suppress_degree2,
     _rooted_forest,
 )
@@ -100,7 +104,7 @@ def test_contract_edge_count_accounting(data):
     out, vmap = contract_edges(g, contracted, delete_loops=False)
     # without loop deletion only the contracted edges disappear
     assert out.num_edges() == m - len(contracted)
-    assert set(vmap.mapping) == set(g.vertices)
+    assert set(vmap) == set(g.vertices)
 
 
 # -- suppression ---------------------------------------------------------------
@@ -210,3 +214,45 @@ def test_spanning_forest_of_cycle():
     assert len(forest) == 3
     sub = g.subgraph_of_edges(forest, keep_vertices=g.vertices)
     assert len(components(sub)) == 1
+
+
+def referee_rooted_forest(g: Multigraph):
+    """_rooted_forest with a queue popped from its front, as it was."""
+    parent: dict = {}
+    parent_edge: dict = {}
+    for start in sorted_vertices(g):
+        if start in parent:
+            continue
+        parent[start] = None
+        parent_edge[start] = None
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            for eid in sorted_edge_ids(g.incident_edges(v)):
+                w = g.other_end(eid, v)
+                if w not in parent:
+                    parent[w] = v
+                    parent_edge[w] = eid
+                    queue.append(w)
+    return parent, parent_edge
+
+
+def test_rooted_forest_matches_the_popping_referee():
+    """The same visiting order and the same parent and parent-edge maps,
+    down to dict order, on seeded multigraphs with loops, parallel edges,
+    several components and int, str, tuple or mixed vertex and edge ids."""
+    rng = random.Random(3)
+    names = (lambda k: k, lambda k: f"v{k}", lambda k: (k, "t"), lambda k: (k, f"m{k}", (k, "t"))[k % 3])
+    loops = parallel = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        vname, ename = rng.choice(names), rng.choice(names)
+        vertices = [vname(k) for k in rng.sample(range(n), n)]
+        edges = [(ename(k), rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 2 * n))]
+        edges += [(ename(len(edges) + k), a, b) for k, (_, a, b) in enumerate(edges[: rng.randint(0, 3)])]
+        g = Multigraph(vertices, edges)
+        loops += g.has_loops()
+        parallel += len({frozenset((a, b)) for _, a, b in edges}) < len(edges)
+        new, old = _rooted_forest(g), referee_rooted_forest(g)
+        assert [list(d.items()) for d in new] == [list(d.items()) for d in old]
+    assert loops > 100 and parallel > 100

@@ -11,7 +11,7 @@ import pytest
 
 from kotzigcdc import amiable, rowgraph
 from kotzigcdc.amiable import STANDARD, SYMMETRIC, ParityColoring, find_parity_coloring, identity_f
-from kotzigcdc.errors import OracleLimitError
+from kotzigcdc.errors import HypothesisError, OracleLimitError
 from kotzigcdc.rowgraph import (
     AmiableColoring,
     RowGraph,
@@ -217,6 +217,17 @@ def outcome(fn, *args):
     return "value", value
 
 
+def agrees(new, ref, r) -> bool:
+    """Whether an outcome is the referee's.  A parity routine on a row
+    graph with fewer than 3 rows and a column is the one exception: the
+    referee runs into a bare KeyError((3, 1)) where the routine raises a
+    HypothesisError that names the row count."""
+    if ref == ("raised", KeyError, str(KeyError((3, 1)))):
+        assert r.rows == 2 and r.s
+        return new == ("raised", HypothesisError, "parity colorings need 3 rows; the row graph has 2")
+    return new == ref
+
+
 def edge_id(k: int, kind: int, rng: random.Random):
     """Edge k's id: an int, a str or a tuple, or for kind 3 any of them."""
     kind = rng.randrange(3) if kind == 3 else kind
@@ -280,9 +291,9 @@ def test_index_routines_match_the_tuple_keyed_referees():
         found += oracle[0] == "coloring"
         phis = [ParityColoring(black=frozenset(), mode=STANDARD)]
         for mode in (STANDARD, SYMMETRIC, "skew"):
-            assert outcome(amiable._pair_relations, r, mode) == outcome(referee_pair_relations, r, mode)
+            assert agrees(outcome(amiable._pair_relations, r, mode), outcome(referee_pair_relations, r, mode), r)
             answer = outcome(find_parity_coloring, r, mode)
-            assert answer == outcome(referee_find_parity_coloring, r, mode)
+            assert agrees(answer, outcome(referee_find_parity_coloring, r, mode), r)
             raised += answer[0] == "raised"
             if answer[0] == "value" and answer[1] is not None:
                 phi = answer[1]
@@ -292,8 +303,10 @@ def test_index_routines_match_the_tuple_keyed_referees():
         phis.append(ParityColoring(black=coin, mode=SYMMETRIC))
         for phi in phis:
             for mode in (None, STANDARD, SYMMETRIC, "skew"):
-                assert outcome(amiable.is_parity_coloring, r, phi, mode) == outcome(
-                    referee_is_parity_coloring, r, phi, mode
+                assert agrees(
+                    outcome(amiable.is_parity_coloring, r, phi, mode),
+                    outcome(referee_is_parity_coloring, r, phi, mode),
+                    r,
                 )
         colorings = []
         for f in vertex_colorings(r, rng):
