@@ -3,8 +3,6 @@
 from .multigraph import (
     Multigraph,
     components,
-    contract_edges,
-    is_bipartite,
     is_connected,
     is_eulerian,
     suppress_degree2,

@@ -309,17 +309,19 @@ def _piece_front(r: RowGraph, cols: list[int], special: int | None, front: dict)
 def _shortest_cross_column_path(r: RowGraph, p: int, q: int) -> list | None:
     """Shortest path between any vertex of column p and any vertex of
     column q; None if the columns lie in different pieces of the graph."""
-    sources = [(i, p) for i in range(1, r.rows + 1)]
-    parent: dict = {v: None for v in sources}
-    queue = list(sources)
-    while queue:
-        v = queue.pop(0)
+    at: dict = {}  # each vertex's edges, ordered by the repr of their ids
+    for e in sorted(r.edges, key=lambda e: repr(e.eid)):
+        at.setdefault(e.a, []).append(e)
+        at.setdefault(e.b, []).append(e)
+    queue = [(i, p) for i in range(1, r.rows + 1)]
+    parent: dict = {v: None for v in queue}
+    for v in queue:  # read front to back as it grows
         if v[1] == q:
             path = [v]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             return list(reversed(path))
-        for e in sorted(r.edges_at(v), key=lambda e: repr(e.eid)):
+        for e in at.get(v, ()):
             w = e.other(v)
             if w not in parent:
                 parent[w] = v

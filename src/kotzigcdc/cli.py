@@ -1,7 +1,7 @@
 """Command line interface: pipeline runs, certificate checks, scans.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 no frame or
-witness found, 3 input error.
+witness found, 3 input error, a usage error included.
 """
 
 from __future__ import annotations
@@ -360,8 +360,19 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it: exit 3, as exit 2 means no frame
+        raise argparse.ArgumentError(None, message)
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kotzigcdc",
         description="Constructive 6-class cycle double covers of cubic graphs",
     )
@@ -387,15 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-rows", help="scan row graphs for amiable-coloring counterexamples")
-    p.add_argument("--columns", type=int, default=2, help="max number of columns")
-    p.add_argument("--max-edges", type=int, default=6)
+    p.add_argument("--columns", type=_count, default=2, help="max number of columns")
+    p.add_argument("--max-edges", type=_count, default=6)
     p.add_argument("--oracle-limit", type=int, default=24)
     p.add_argument("--archive", help="directory for counterexample files")
     p.set_defaults(func=cmd_scan_rows)
 
     p = sub.add_parser("corpus", help="run the pipeline over a directory or generated corpus")
     p.add_argument("directory", nargs="?", help="directory of graph files")
-    p.add_argument("--max-vertices", type=int, default=10,
+    p.add_argument("--max-vertices", type=_count, default=10,
                    help="generate all connected cubic multigraphs up to this order")
     p.add_argument("--frame-strategy", choices=["two-factor", "exhaustive"],
                    default="two-factor")
@@ -406,7 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return args.func(args)
 
 

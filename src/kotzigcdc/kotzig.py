@@ -18,7 +18,6 @@ from .multigraph import (
     EdgeId,
     Multigraph,
     Vertex,
-    components,
     sorted_edge_ids,
     sorted_vertices,
 )
@@ -47,12 +46,28 @@ def is_proper_3_edge_coloring(k: Multigraph, coloring: dict) -> bool:
     return True
 
 
+def _bicolored_walk(k: Multigraph, coloring: dict, pair, cur: Vertex, prev: EdgeId = None) -> Iterator[Vertex]:
+    """The vertices met walking from cur along the edges colored in pair,
+    never back along the edge just taken (at first, prev); it stops where
+    no edge is left, and goes round a cycle for ever."""
+    while True:
+        step = next((e for e in k.incident_edges(cur) if e != prev and coloring.get(e) in pair), None)
+        if step is None:
+            return
+        cur, prev = k.other_end(step, cur), step
+        yield cur
+
+
 def _bicolored_is_hamiltonian(k: Multigraph, coloring: dict, pair: tuple[int, int]) -> bool:
-    eids = [e for e in k.edge_ids if coloring[e] in pair]
-    sub = k.subgraph_of_edges(eids, keep_vertices=k.vertices)
-    if any(sub.degree(v) != 2 for v in sub.vertices):
-        return False
-    return len(components(sub)) == 1
+    """For a proper coloring: whether the two color classes of pair form
+    one hamiltonian cycle, that is whether the walk along them from the
+    first vertex first comes back after n steps."""
+    n = k.num_vertices()
+    start = k.vertices[0] if n else None
+    for steps, v in enumerate(itertools.islice(_bicolored_walk(k, coloring, pair, start), n), 1):
+        if v == start:
+            return steps == n
+    return False
 
 
 def is_kotzig_coloring(k: Multigraph, coloring: dict) -> bool:
@@ -78,8 +93,7 @@ def _bfs_edge_order(k: Multigraph) -> list[EdgeId]:
             continue
         queue = [start]
         seen_v.add(start)
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # read front to back as it grows
             for eid in sorted_edge_ids(k.incident_edges(v)):
                 if eid not in seen_e:
                     seen_e.add(eid)
@@ -103,33 +117,12 @@ def _closes_short_bicolored_cycle(
     """
     u, v = k.endpoints(eid)
     n = k.num_vertices()
-    for other in COLORS:
-        if other == color:
-            continue
-        pair = {color, other}
-        # walk the bicolored path starting at u, avoiding eid itself
-        prev_edge = eid
-        cur = u
-        length = 1
-        while True:
-            step = None
-            for e2 in k.incident_edges(cur):
-                if e2 != prev_edge and coloring.get(e2) in pair:
-                    step = e2
-                    break
-            if step is None:
-                break
-            cur = k.other_end(step, cur)
-            prev_edge = step
-            length += 1
-            if cur == v:
-                # cycle of `length` edges closes; hamiltonian needs n edges
-                if length < n:
-                    return True
-                break
-            if length > n:
-                break
-    return False
+    # the walk from u reaches v within n - 2 steps: a cycle of under n edges
+    return any(
+        v in itertools.islice(_bicolored_walk(k, coloring, (color, other), u, eid), n - 2)
+        for other in COLORS
+        if other != color
+    )
 
 
 def _kotzig_search(k: Multigraph) -> Iterator[dict]:

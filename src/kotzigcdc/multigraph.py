@@ -254,31 +254,6 @@ def is_eulerian(g: Multigraph) -> bool:
     return all(g.degree(v) % 2 == 0 for v in g.vertices)
 
 
-def is_bipartite(g: Multigraph) -> dict[Vertex, int] | None:
-    """Two-color the vertices, or None if some component has an odd closed walk.
-
-    A loop makes its component non-bipartite.  Parallel edges are harmless.
-    """
-    color: dict[Vertex, int] = {}
-    for start in sorted_vertices(g):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for eid in g.incident_edges(v):
-                w = g.other_end(eid, v)
-                if w == v:
-                    return None
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
 def _rooted_forest(g: Multigraph):
     """BFS forest rooted at the smallest vertex of each component.
 
@@ -301,60 +276,6 @@ def _rooted_forest(g: Multigraph):
                     parent_edge[w] = eid
                     queue.append(w)
     return parent, parent_edge
-
-
-# -- contraction ------------------------------------------------------------
-
-
-def contract_edges(
-    g: Multigraph, contracted: Iterable[EdgeId], delete_loops: bool = True
-) -> tuple[Multigraph, dict[Vertex, int]]:
-    """Merge the endpoints of every contracted edge: the quotient on 0, 1,
-    ..., and a dict from each vertex to its image.
-
-    Surviving edges keep their ids.  Loops that arise from contraction are
-    removed iff delete_loops; pre-existing loops on merged vertices are kept
-    subject to the same flag only when their endpoints were merged (a loop
-    is always "arising" once its vertex is in a contracted blob is false --
-    an original loop stays unless it was itself contracted).  Contracting a
-    loop simply deletes it.
-    """
-    contracted = set(contracted)
-    for eid in contracted:
-        g.endpoints(eid)  # raises on unknown id
-    blob: dict[Vertex, Vertex] = {v: v for v in g.vertices}
-
-    def find(v: Vertex) -> Vertex:
-        root = v
-        while blob[root] != root:
-            root = blob[root]
-        while blob[v] != root:
-            blob[v], v = root, blob[v]
-        return root
-
-    for eid in sorted_edge_ids(contracted):
-        a, b = g.endpoints(eid)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # merge into the smaller root for determinism
-            lo, hi = sorted((ra, rb), key=_sort_key)
-            blob[hi] = lo
-    groups: dict[Vertex, list[Vertex]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), []).append(v)
-    fresh = {root: idx for idx, root in enumerate(sorted(groups, key=_sort_key))}
-    mapping = {v: fresh[find(v)] for v in g.vertices}
-
-    new_edges = []
-    for eid, a, b in g.edges():
-        if eid in contracted:
-            continue
-        na, nb = mapping[a], mapping[b]
-        if na == nb and a != b and delete_loops:
-            continue  # loop arising from contraction
-        new_edges.append((eid, na, nb))
-    result = Multigraph(range(len(groups)), new_edges)
-    return result, mapping
 
 
 def suppress_degree2(h: Multigraph) -> tuple[Multigraph, dict[EdgeId, tuple[EdgeId, ...]]]:

@@ -532,6 +532,49 @@ def test_two_busy_columns_match_the_split_referee():
     assert split > 0
 
 
+
+def referee_shortest_cross_column_path(r, p, q):
+    """_shortest_cross_column_path as it was: a popped queue, each
+    vertex's edges sorted by the repr of their ids as it is visited."""
+    sources = [(i, p) for i in range(1, r.rows + 1)]
+    parent = {v: None for v in sources}
+    queue = list(sources)
+    while queue:
+        v = queue.pop(0)
+        if v[1] == q:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return list(reversed(path))
+        for e in sorted(r.edges_at(v), key=lambda e: repr(e.eid)):
+            w = e.other(v)
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def test_shortest_cross_column_path_matches_the_popping_referee():
+    """On random row graphs with 2 to 8 columns, parallel edges and edge
+    ids whose repr order is not their list order (ints past 9, strings
+    and a mix), every column pair gets the referee's path, or None."""
+    rng = random.Random(5)
+    eid_kinds = (lambda k: 20 - k, lambda k: f"e{k}", lambda k: (k, f"e{k}")[k % 2])
+    found = 0
+    for _ in range(300):
+        s = rng.randint(2, 8)
+        eid = rng.choice(eid_kinds)
+        edges = []
+        for k in range(rng.randint(0, 2 * s)):
+            a, b = rng.sample(range(1, s + 1), 2)
+            edges.append((eid(k), (rng.randint(1, 3), a), (rng.randint(1, 3), b)))
+        r = RowGraph(s, edges)
+        for p, q in itertools.permutations(range(1, s + 1), 2):
+            path = amiable._shortest_cross_column_path(r, p, q)
+            assert path == referee_shortest_cross_column_path(r, p, q)
+            found += path is not None
+    assert found > 1000
+
 # -- parity colorings ----------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from kotzigcdc.cli import RunReport, main, run_pipeline
 from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.io import graph_to_json, save_graph_json
 from kotzigcdc.multigraph import Multigraph
-from tests.test_cdc import planted_multi_k_hosts
+from tests.test_cdc import planted_host, planted_multi_k_hosts
 
 
 @pytest.fixture
@@ -441,6 +442,39 @@ def test_scan_rows_oracle_limit(capsys):
     assert "6 edges > max_edges=4" in line and "--oracle-limit" in line
 
 
+
+USAGE_ERRORS = {
+    "columns-not-a-number": (["scan-rows", "--columns", "abc"], "--columns: 'abc' is not a non-negative integer"),
+    "missing-graph": (["pipeline"], "required: graph"),
+    "unknown-command": (["frobnicate"], "invalid choice: 'frobnicate'"),
+    "no-command": ([], "required: command"),
+    "unknown-option": (["verify", "g.json", "c.json", "--fast"], "unrecognized arguments: --fast"),
+    "negative-columns": (["scan-rows", "--columns", "-3"], "--columns: '-3' is not a non-negative integer"),
+    "negative-max-edges": (["scan-rows", "--max-edges", "-1"], "--max-edges: '-1' is not a non-negative integer"),
+    "negative-max-vertices": (["corpus", "--max-vertices", "-2"], "--max-vertices: '-2' is not a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("name", list(USAGE_ERRORS))
+def test_usage_errors_exit_3(name, capsys):
+    """A command line argparse refuses, or a negative count, is one input
+    error line and exit 3, never exit 2 (no frame or witness), and runs
+    nothing."""
+    argv, phrase = USAGE_ERRORS[name]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and phrase in err[0], err
+    assert captured.out == ""
+
+
+def test_help_and_zero_counts_still_exit_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert main(["scan-rows", "--columns", "0", "--max-edges", "0"]) == 0
+    assert "scanned 0 row graphs" in capsys.readouterr().out
+
 def test_corpus_directory(tmp_path, capsys):
     d = tmp_path / "graphs"
     d.mkdir()
@@ -725,3 +759,42 @@ def test_golden_reports_on_non_integer_ids():
     payload = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
     text = json.dumps(payload, default=repr)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NON_INTEGER_SHA256
+
+
+def planted_wide_hosts(seeds):
+    """Seeded planted hosts with one to three K4 subdivisions on 40 to 116
+    vertices, with their frame edge ids: row graphs of up to 16 columns."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        k4s = rng.choice((1, 2, 3))
+        yield planted_host(rng.randrange(max(40, 16 * k4s + 4), 118, 2), rng, k4s)
+
+
+# The seeds in range(300) whose run swaps rows 2 and 3 in a row graph of 10
+# or more columns, where the columns' order by (type name, repr), 1, 10,
+# 11, ..., 2, is not their numeric order.
+WIDE_SWAP_SEEDS = (
+    11, 13, 16, 34, 38, 63, 68, 74, 76, 93, 95, 99, 105, 110, 112, 124,
+    130, 136, 157, 163, 182, 186, 189, 193, 196, 212, 219, 244, 254, 278, 290, 297,
+)
+
+# sha256 of the reports of test_golden_reports_on_wide_row_swaps, without
+# their seconds, pinned like GOLDEN_REPORTS_SHA256.
+GOLDEN_WIDE_SWAP_SHA256 = "b4a2ee43d5407227d506c889cce978c65ead9e75766148282f64dd4b10f1136e"
+
+
+def test_golden_reports_on_wide_row_swaps():
+    """Seeded frames whose row graph has 10 to 15 columns and needs a row
+    2/3 swap report exactly what they reported when the digest was
+    pinned."""
+    reports = [
+        run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges, collect_trace=True)
+        for g, frame_edges in planted_wide_hosts(WIDE_SWAP_SEEDS)
+    ]
+    for report in reports:
+        assert report.outcome == "verified"
+        assert len(report.frame["components"]) >= 10
+        assert any(step["step"] == "row23_swap" for step in report.trace["steps"])
+    payload = [{k: v for k, v in r.to_json().items() if k != "seconds"} for r in reports]
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WIDE_SWAP_SHA256

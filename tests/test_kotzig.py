@@ -10,7 +10,9 @@ from kotzigcdc.catalog import (
     theta_graph,
     theta_subdivision,
 )
+from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import NotCubicError
+from kotzigcdc import kotzig
 from kotzigcdc.kotzig import (
     CYCLE,
     KOTZIG_SUBDIVISION,
@@ -22,7 +24,7 @@ from kotzigcdc.kotzig import (
     is_kotzig_coloring,
     is_perfect_component_coloring,
 )
-from kotzigcdc.multigraph import Multigraph, components
+from kotzigcdc.multigraph import Multigraph, components, sorted_edge_ids, sorted_vertices
 
 
 def brute_proper_3_edge_colorings(g):
@@ -105,6 +107,59 @@ def test_enumerate_matches_oracle_on_cube():
     key = lambda c: tuple(sorted(c.items()))
     assert sorted(map(key, mine)) == sorted(map(key, oracle))
 
+
+
+def test_kotzig_check_matches_the_subgraph_referee():
+    """is_kotzig_coloring, which walks each bicolored cycle once, agrees
+    with the subgraph-and-components referee on every proper
+    3-edge-coloring of every cubic multigraph up to 8 vertices, and on
+    each with one edge of color 3 recolored 4; and the search, which cuts
+    a branch when such a walk closes a short cycle, enumerates exactly
+    the referee's Kotzig colorings of each loopless one."""
+    checked = kotzig_count = 0
+    key = lambda c: tuple(sorted(c.items()))
+    for g in cubic_corpus(8):
+        proper = brute_proper_3_edge_colorings(g)
+        for coloring in proper:
+            e3 = next(e for e, c in coloring.items() if c == 3)
+            for c in (coloring, {**coloring, e3: 4}):
+                assert is_kotzig_coloring(g, c) == bicolored_unions_hamiltonian(g, c)
+                checked += 1
+                kotzig_count += is_kotzig_coloring(g, c)
+        if not g.has_loops():
+            oracle = [c for c in proper if bicolored_unions_hamiltonian(g, c)]
+            assert sorted(map(key, enumerate_kotzig_colorings(g))) == sorted(map(key, oracle))
+    assert (checked, kotzig_count) == (1020, 48)
+
+
+def referee_bfs_edge_order(k):
+    """kotzig._bfs_edge_order as it was, with a popped queue."""
+    order, seen_e, seen_v = [], set(), set()
+    for start in sorted_vertices(k):
+        if start in seen_v:
+            continue
+        queue = [start]
+        seen_v.add(start)
+        while queue:
+            v = queue.pop(0)
+            for eid in sorted_edge_ids(k.incident_edges(v)):
+                if eid not in seen_e:
+                    seen_e.add(eid)
+                    order.append(eid)
+                w = k.other_end(eid, v)
+                if w not in seen_v:
+                    seen_v.add(w)
+                    queue.append(w)
+    return order
+
+
+def test_bfs_edge_order_matches_the_popping_referee():
+    """The same edge order on every cubic multigraph up to 8 vertices,
+    with its own ids and with string ids."""
+    for g in cubic_corpus(8):
+        renamed = Multigraph([f"v{v}" for v in g.vertices], [(f"e{k}", f"v{a}", f"v{b}") for k, a, b in g.edges()])
+        for h in (g, renamed):
+            assert kotzig._bfs_edge_order(h) == referee_bfs_edge_order(h)
 
 def test_enumerate_representatives_orbit_structure():
     g = k4()

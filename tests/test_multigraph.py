@@ -1,17 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from kotzigcdc.catalog import cycle_graph, path_graph, theta_graph, theta_subdivision, k4
+from kotzigcdc.catalog import cycle_graph, path_graph, theta_subdivision, k4
 from kotzigcdc.corpus import cubic_corpus
 from kotzigcdc.errors import GraphFormatError
 from kotzigcdc.multigraph import (
     Multigraph,
     bridges,
     components,
-    contract_edges,
-    is_bipartite,
     is_connected,
     is_eulerian,
     sorted_edge_ids,
@@ -50,61 +48,6 @@ def test_duplicate_edge_id_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(GraphFormatError):
         Multigraph([0], [(0, 0, 1)])
-
-
-# -- contraction ---------------------------------------------------------------
-
-
-def test_contract_triangle_fully():
-    g = cycle_graph(3)
-    out, vmap = contract_edges(g, g.edge_ids, delete_loops=True)
-    assert out.num_vertices() == 1
-    assert out.num_edges() == 0
-    assert len({vmap[v] for v in g.vertices}) == 1
-
-
-def test_contract_theta_one_edge():
-    g = theta_graph()
-    out, _ = contract_edges(g, [0], delete_loops=True)
-    assert out.num_vertices() == 1
-    assert out.num_edges() == 0  # the two parallel survivors became loops
-
-
-def test_contract_path_edge():
-    g = path_graph(3)
-    out, vmap = contract_edges(g, [0], delete_loops=True)
-    assert out.num_vertices() == 2
-    assert out.num_edges() == 1
-    assert vmap[0] == vmap[1] != vmap[2]
-
-
-def test_contract_keeps_arising_loops_on_request():
-    g = theta_graph()
-    out, _ = contract_edges(g, [0], delete_loops=False)
-    assert out.num_edges() == 2
-    assert all(out.is_loop(e) for e in out.edge_ids)
-
-
-def test_contract_unknown_edge():
-    with pytest.raises(GraphFormatError):
-        contract_edges(path_graph(2), ["nope"])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_contract_edge_count_accounting(data):
-    n = data.draw(st.integers(2, 7))
-    m = data.draw(st.integers(0, 12))
-    edges = [
-        (i, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-        for i in range(m)
-    ]
-    g = Multigraph(range(n), edges)
-    contracted = data.draw(st.sets(st.sampled_from(range(m)) if m else st.nothing()))
-    out, vmap = contract_edges(g, contracted, delete_loops=False)
-    # without loop deletion only the contracted edges disappear
-    assert out.num_edges() == m - len(contracted)
-    assert set(vmap) == set(g.vertices)
 
 
 # -- suppression ---------------------------------------------------------------
@@ -156,27 +99,7 @@ def test_suppress_round_trip():
             assert sorted(odd) == sorted(ends)
 
 
-# -- bipartite / eulerian / components / forest ---------------------------------
-
-
-def test_bipartite_even_cycle():
-    sides = is_bipartite(cycle_graph(4))
-    assert sides is not None
-    assert sorted(sides.values()).count(0) == 2
-
-
-def test_bipartite_triangle():
-    assert is_bipartite(cycle_graph(3)) is None
-
-
-def test_bipartite_loop():
-    g = Multigraph([0], [(0, 0, 0)])
-    assert is_bipartite(g) is None
-
-
-def test_bipartite_parallel_edges_fine():
-    g = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1)])
-    assert is_bipartite(g) is not None
+# -- bridges / eulerian / components / forest ---------------------------------
 
 
 def test_bridges_parallel_edges_and_loops():

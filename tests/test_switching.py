@@ -2,12 +2,13 @@ import itertools
 import random
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kotzigcdc.catalog import cycle_graph, path_graph
 from kotzigcdc.errors import HypothesisError
-from kotzigcdc.multigraph import Multigraph, _rooted_forest, components
+from kotzigcdc.multigraph import Multigraph, _rooted_forest, _sort_key, components, sorted_vertices
 from kotzigcdc.rowgraph import RowGraph
 from kotzigcdc.switching import (
     BLUE,
@@ -127,6 +128,15 @@ def test_red_loop_never_switchable():
 
 
 def test_switchable_matches_bruteforce_500():
+    """All red, an even cycle and a parallel pair switch, a triangle and
+    a loop do not; and 500 random instances agree with brute force."""
+    bipartite = [(cycle_graph(4), True), (cycle_graph(3), False),
+                 (Multigraph([0], [(0, 0, 0)]), False), (Multigraph([0, 1], [(0, 0, 1), (1, 0, 1)]), True)]
+    for g, switchable in bipartite:
+        seq = switchable_to_blue(g, {e: RED for e in g.edge_ids})
+        assert (seq is not None) == switchable
+        if switchable:
+            assert len(seq) == g.num_vertices() // 2
     rng = random.Random(42)
     for _ in range(500):
         g, coloring = random_instance(rng)
@@ -135,6 +145,52 @@ def test_switchable_matches_bruteforce_500():
         assert (mine is None) == (brute is None)
         if mine is not None:
             assert is_all_blue(apply_switch_sequence(g, coloring, mine))
+
+
+# Vertex and edge ids of four kinds.  The integers run past 9, so that
+# their order by (type name, repr) is not their numeric order.
+ID_KINDS = {
+    "int": lambda k: 7 + k,
+    "str": lambda k: f"v{k}",
+    "tuple": lambda k: (k % 3, k),
+    "mixed": lambda k: (k + 7, f"v{k}", (k,))[k % 3],
+}
+
+
+def least_fixed_switch_set(g: Multigraph, coloring: dict):
+    """The switch set, in sorted_vertices order, that turns every edge blue
+    and leaves each component's least vertex by (type name, repr)
+    unswitched, found among all 2^n vertex sets; None if no set does."""
+    verts = sorted_vertices(g)
+    kept = {comp[0] for comp in components(g)}
+    for mask in range(1 << len(verts)):
+        seq = [v for i, v in enumerate(verts) if mask >> i & 1]
+        if kept.isdisjoint(seq) and is_all_blue(apply_switch_sequence(g, coloring, seq)):
+            return seq
+    return None
+
+
+@pytest.mark.parametrize("ids", list(ID_KINDS))
+def test_switch_set_is_the_one_that_keeps_each_least_vertex(ids):
+    """switchable_to_blue returns exactly the brute-force switch set that
+    keeps each component's least vertex by (type name, repr), in
+    sorted_vertices order, on random multigraphs with loops and parallel
+    edges listed in a shuffled vertex order; half the colourings are
+    switchable by construction."""
+    rng = random.Random(f"switch-{ids}")
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        vertices = [ID_KINDS[ids](k) for k in range(n)]
+        rng.shuffle(vertices)
+        edges = [(ID_KINDS[ids](i), rng.choice(vertices), rng.choice(vertices))
+                 for i in range(rng.randint(0, 2 * n))]
+        g = Multigraph(vertices, edges)
+        if rng.random() < 0.5:
+            side = {v: rng.random() < 0.5 for v in vertices}
+            coloring = {e: RED if side[a] != side[b] else BLUE for e, a, b in edges}
+        else:
+            coloring = {e: rng.choice([RED, BLUE]) for e, _, _ in edges}
+        assert switchable_to_blue(g, coloring) == least_fixed_switch_set(g, coloring)
 
 
 # -- two-row resolution --------------------------------------------------------
@@ -182,6 +238,52 @@ def test_resolve_rejects_cyclic_contraction():
     r = RowGraph(2, [(0, (1, 1), (2, 2)), (1, (1, 1), (1, 2))], rows=2)
     with pytest.raises(HypothesisError, match="cycle"):
         resolve_two_row(r)
+
+
+def tree_path_swaps(r2: RowGraph):
+    """resolve_two_row's answer, read off its column contraction with
+    networkx: each column whose tree path from the least column of its
+    piece by (type name, repr) holds an odd number of cross-row edges.  A
+    contraction that is not a forest gives the error text instead."""
+    rc = nx.MultiGraph()
+    rc.add_nodes_from(range(1, r2.s + 1))
+    for e in r2.edges:
+        rc.add_edge(e.a[1], e.b[1], cross=e.a[0] != e.b[0])
+    pieces = list(nx.connected_components(rc))
+    if rc.number_of_edges() != r2.s - len(pieces):
+        return "column contraction contains a cycle"
+    swaps = set()
+    for piece in pieces:
+        for column, path in nx.shortest_path(rc, min(piece, key=_sort_key)).items():
+            crossings = sum(rc[u][v][0]["cross"] for u, v in zip(path, path[1:]))
+            if crossings % 2:
+                swaps.add(column)
+    return swaps
+
+
+@pytest.mark.parametrize("ids", list(ID_KINDS))
+def test_resolve_two_row_matches_the_tree_path_referee(ids):
+    """On random two-row graphs with 10 to 16 columns whose column
+    contraction is a forest (one in six gets an extra edge, which mostly
+    closes a cycle), resolve_two_row returns the referee's exact swap set
+    or raises its error text, whatever the edge ids."""
+    rng = random.Random(f"two-row-{ids}")
+    for _ in range(400):
+        s = rng.randint(10, 16)
+        columns = list(range(1, s + 1))
+        rng.shuffle(columns)
+        pairs = [(j, rng.choice(columns[:k])) for k, j in enumerate(columns) if k and rng.random() < 0.85]
+        if rng.random() < 1 / 6:
+            pairs.append(tuple(rng.sample(columns, 2)))
+        edges = [(ID_KINDS[ids](i), (rng.choice((1, 2)), a), (rng.choice((1, 2)), b))
+                 for i, (a, b) in enumerate(pairs)]
+        r2 = RowGraph(s, edges, rows=2)
+        expected = tree_path_swaps(r2)
+        if isinstance(expected, str):
+            with pytest.raises(HypothesisError, match=re.escape(expected)):
+                resolve_two_row(r2)
+        else:
+            assert resolve_two_row(r2) == expected
 
 
 # -- acyclic t-joins -------------------------------------------------------------
