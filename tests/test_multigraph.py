@@ -17,6 +17,7 @@ from kotzigcdc.multigraph import (
     suppress_degree2,
     _rooted_forest,
 )
+from kotzigcdc.switching import RED, switchable_to_blue
 
 
 def spanning_forest(g: Multigraph) -> set:
@@ -100,6 +101,32 @@ def test_suppress_round_trip():
 
 
 # -- bridges / eulerian / components / forest ---------------------------------
+
+
+def all_red_switch_set(g: Multigraph):
+    """Bipartiteness as switching: an all-red graph switches to all blue
+    exactly when it is bipartite, and the switch set is one side."""
+    return switchable_to_blue(g, {e: RED for e in g.edge_ids})
+
+
+def test_bipartite_even_cycle():
+    side = all_red_switch_set(cycle_graph(4))
+    assert side is not None
+    assert len(side) == 2
+
+
+def test_bipartite_triangle():
+    assert all_red_switch_set(cycle_graph(3)) is None
+
+
+def test_bipartite_loop():
+    g = Multigraph([0], [(0, 0, 0)])
+    assert all_red_switch_set(g) is None
+
+
+def test_bipartite_parallel_edges_fine():
+    g = Multigraph([0, 1], [(0, 0, 1), (1, 0, 1)])
+    assert all_red_switch_set(g) is not None
 
 
 def test_bridges_parallel_edges_and_loops():
