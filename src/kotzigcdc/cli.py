@@ -336,10 +336,11 @@ def cmd_corpus(args) -> int:
             return EXIT_INPUT
         for idx, g in enumerate(graphs):
             tasks.append((f"cubic_{g.num_vertices()}v_{idx}", graph_to_json(g), strategy))
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)  # --jobs is a ceiling
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             reports = unreadable + pool.map(_corpus_worker, tasks)
     else:
         reports = unreadable + [_corpus_worker(t) for t in tasks]

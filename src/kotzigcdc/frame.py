@@ -33,7 +33,7 @@ from .multigraph import (
     EdgeId,
     Multigraph,
     Vertex,
-    _rooted_forest,
+    _forest_order,
     bridges,
     sorted_edge_ids,
     sorted_vertices,
@@ -331,6 +331,13 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     - the edges out of M form paths whose ends and length parity are kept,
       so a path that closes into an odd cycle is cut off at once.
 
+    The search reads the host's numbering (Multigraph.numbering): edge k is
+    the k-th in sorted order, and a vertex is its place in the forest's
+    breadth-first order.  Every change is pushed onto the trail as (array,
+    index, old value) and undone on backtrack.  Each stack frame keeps the
+    first unmatched vertex, which only moves forward as the search goes
+    deeper, and the next branch choice scans from there, not from vertex 0.
+
     Proving that no even 2-factor exists is exponential: on Isaacs' flower
     snarks the branches grow about fourfold per two more petals.  So the
     search raises OracleLimitError once it has tried TAIT_SEARCH_BUDGET
@@ -341,14 +348,13 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     """
     if g.has_loops():
         return  # a loop outside M is a cycle of length one
-    order = list(_rooted_forest(g)[0])  # keys in breadth-first order
-    idx = {v: i for i, v in enumerate(order)}
-    eids = sorted_edge_ids(g.edge_ids)
-    ends = [tuple(idx[v] for v in g.endpoints(e)) for e in eids]
-    at: list[list[int]] = [[] for _ in order]
-    for k, (a, b) in enumerate(ends):
-        at[a].append(k)
-        at[b].append(k)
+    eids, ea, eb, numbered_at = g.numbering()[1:5]
+    order = _forest_order(g)[0]
+    pos = [0] * len(order)  # vertex number -> breadth-first place
+    for i, v in enumerate(order):
+        pos[v] = i
+    ends = [(pos[a], pos[b]) for a, b in zip(ea, eb)]
+    at = [numbered_at[v] for v in order]
 
     in_m: list = [None] * len(eids)  # True in M, False in the factor
     matched = [False] * len(order)
@@ -356,10 +362,7 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     path_end = list(range(len(order)))  # the other end of a factor path
     odd_path = [False] * len(order)  # parity of that path's length
     trail: list = []  # (array, index, old value), undone on backtrack
-
-    def put(arr, i, value):
-        trail.append((arr, i, arr[i]))
-        arr[i] = value
+    push = trail.append
 
     def decide(k0: int, into_m: bool) -> bool:
         """Set one edge and everything it forces; False on a conflict."""
@@ -370,20 +373,24 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
                 if in_m[k] != into_m:
                     return False
                 continue
-            put(in_m, k, into_m)
+            push((in_m, k, None))
+            in_m[k] = into_m
             a, b = ends[k]
             if into_m:
                 for v in (a, b):
                     if matched[v]:
                         return False
-                    put(matched, v, True)
+                    push((matched, v, False))
+                    matched[v] = True
                     queue.extend((j, False) for j in at[v] if in_m[j] is None)
                 continue
             for v in (a, b):
-                if out_deg[v] == 2:
+                deg = out_deg[v]
+                if deg == 2:
                     return False
-                put(out_deg, v, out_deg[v] + 1)
-                if out_deg[v] == 2 and not matched[v]:
+                push((out_deg, v, deg))
+                out_deg[v] = deg + 1
+                if deg == 1 and not matched[v]:
                     queue.extend((j, True) for j in at[v] if in_m[j] is None)
             end_a, end_b = path_end[a], path_end[b]
             if end_a == b:  # a and b end one path, and edge k closes it
@@ -391,32 +398,39 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
                     return False
             else:
                 parity = not (odd_path[a] ^ odd_path[b])
-                put(path_end, end_a, end_b)
-                put(path_end, end_b, end_a)
-                put(odd_path, end_a, parity)
-                put(odd_path, end_b, parity)
+                push((path_end, end_a, path_end[end_a]))
+                path_end[end_a] = end_b
+                push((path_end, end_b, path_end[end_b]))
+                path_end[end_b] = end_a
+                push((odd_path, end_a, odd_path[end_a]))
+                odd_path[end_a] = parity
+                push((odd_path, end_b, odd_path[end_b]))
+                odd_path[end_b] = parity
         return True
 
-    def choices() -> list[int] | None:
+    def choices(lo: int) -> tuple[list[int] | None, int]:
         """The undecided edges at the vertex to branch on, or None when
-        every edge is decided."""
+        every edge is decided, and the first unmatched vertex.  Every
+        vertex before lo is matched."""
         first = None
-        for v, edges in enumerate(at):
+        for v in range(lo, len(at)):
             if matched[v]:
                 continue
-            free = [k for k in edges if in_m[k] is None]
-            if len(free) < 3:
-                return free
+            free = [k for k in at[v] if in_m[k] is None]
             if first is None:
-                first = free
-        return first
+                first, lo = free, v
+            if len(free) < 3:
+                return free, lo
+        return first, lo
 
-    # each frame: [edges to try in M, next one to try, trail length at entry]
-    stack = [[choices(), 0, 0]]
+    # each frame: [edges to try in M, next one to try, trail length at
+    # entry, first unmatched vertex]
+    options, lo = choices(0)
+    stack = [[options, 0, 0, lo]]
     branches = 0  # edges tried in M while no factor has been found
     while stack:
         top = stack[-1]
-        options, i, mark = top
+        options, i, mark, lo = top
         while len(trail) > mark:
             arr, j, old = trail.pop()
             arr[j] = old
@@ -436,7 +450,8 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
                         "without finding one"
                     )
             if decide(options[i], True):
-                stack.append([choices(), 0, len(trail)])
+                options, lo = choices(lo)
+                stack.append([options, 0, len(trail), lo])
 
 
 def _degree_constrained_subsets(g: Multigraph) -> Iterator[frozenset]:

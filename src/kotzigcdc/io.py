@@ -50,20 +50,27 @@ def _ascii(line: str | bytes) -> bytes:
         raise GraphFormatError("graph6 and sparse6 lines are ASCII") from None
 
 
-def _bit_stream(data: bytes, pos: int):
-    for byte in data[pos:]:
-        val = byte - 63
-        if val < 0 or val > 63:
-            raise GraphFormatError("invalid data byte")
-        for shift in range(5, -1, -1):
-            yield (val >> shift) & 1
+_DATA_BYTES = bytes(range(63, 127))
+_SIX_BITS = {63 + value: format(value, "06b") for value in range(64)}
+
+
+def _bits(data: bytes, pos: int) -> str:
+    """The data bytes from pos, checked once, as one string of "0" and "1",
+    six to a byte, most significant first."""
+    body = data[pos:]
+    if body.translate(None, _DATA_BYTES):
+        raise GraphFormatError("invalid data byte")
+    return body.decode("ascii").translate(_SIX_BITS)
 
 
 def parse_graph6(line: str | bytes) -> Multigraph:
     """Parse one graph6 line into a simple graph with integer vertices.
 
     The data must end with the byte that holds the last bit of the
-    adjacency matrix, and the padding bits after that bit must be 0.
+    adjacency matrix, and the padding bits after that bit must be 0.  The
+    matrix is read column by column: bit t is the pair (i, j) with
+    t = j(j - 1)/2 + i, so the set bits are found with str.find and the
+    column j only moves forward.
     """
     data = _ascii(line)
     data = data.strip()
@@ -80,17 +87,18 @@ def parse_graph6(line: str | bytes) -> Multigraph:
     last = data[-1] - 63
     if extra == 0 and padding and 0 <= last <= 63 and last & ((1 << padding) - 1):
         raise GraphFormatError("graph6 padding bits are not 0")
-    bits = _bit_stream(data, pos)
+    bits = _bits(data, pos)
+    if extra < 0:
+        raise GraphFormatError("graph6 data too short")
     edges = []
-    eid = 0
-    try:
-        for j in range(1, n):
-            for i in range(j):
-                if next(bits):
-                    edges.append((eid, i, j))
-                    eid += 1
-    except StopIteration:
-        raise GraphFormatError("graph6 data too short") from None
+    j, column = 1, 0  # column j holds bits j(j - 1)/2 to j(j + 1)/2 - 1
+    t = bits.find("1", 0, matrix_bits)
+    while t >= 0:
+        while t >= column + j:
+            column += j
+            j += 1
+        edges.append((len(edges), t - column, j))
+        t = bits.find("1", t + 1, matrix_bits)
     return Multigraph(range(n), edges)
 
 
@@ -104,26 +112,21 @@ def parse_sparse6(line: str | bytes) -> Multigraph:
         raise GraphFormatError("sparse6 line must start with ':'")
     n, pos = _decode_number(data, 1)
     k = max(1, (n - 1).bit_length())
-    bits = list(_bit_stream(data, pos))
+    bits = _bits(data, pos)
     edges = []
-    eid = 0
     v = 0
     i = 0
     while i + k < len(bits):
-        b = bits[i]
-        x = 0
-        for bit in bits[i + 1 : i + 1 + k]:
-            x = (x << 1) | bit
-        i += 1 + k
-        if b:
+        if bits[i] == "1":
             v += 1
+        x = int(bits[i + 1 : i + 1 + k], 2)
+        i += 1 + k
         if v >= n:
             break
         if x > v:
             v = x
         else:
-            edges.append((eid, x, v))
-            eid += 1
+            edges.append((len(edges), x, v))
     return Multigraph(range(n), edges)
 
 

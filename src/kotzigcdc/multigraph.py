@@ -4,16 +4,38 @@ Edges are first-class: every edge has its own id, so parallel edges and
 loops are unambiguous and structures built on top of a graph can refer to
 edges across transformations.  All values are immutable after construction
 and safe to share between workers.
+
+A graph is numbered once, on first use (``Multigraph.numbering``): its
+vertices and edges in sorted order, with flat end arrays and an incidence
+array.  The bridge pass, the breadth-first forest and the even 2-factor
+search walk those arrays instead of dicts keyed by id.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .errors import GraphFormatError
 
 Vertex = Hashable
 EdgeId = Hashable
+
+
+class Numbering(NamedTuple):
+    """A graph's vertices and edges numbered from 0 in sorted order.
+
+    Edge k joins vertices ea[k] and eb[k] (in the order the graph stores
+    them; equal for a loop), so its other end at v is ea[k] ^ eb[k] ^ v.
+    at[v] holds the numbers of the edges at v in ascending order, a loop
+    once.  native says whether the edge ids sorted by their own order
+    rather than by (type name, repr)."""
+
+    vertices: list
+    edge_ids: list
+    ea: list[int]
+    eb: list[int]
+    at: list[list[int]]
+    native: bool
 
 
 class Multigraph:
@@ -25,7 +47,7 @@ class Multigraph:
 
     __slots__ = (
         "_vertices", "_edges", "_incidence", "_degree", "_vertex_set", "_index", "_typed_ids",
-        "_key_rank",
+        "_key_rank", "_numbering",
     )
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple[EdgeId, Vertex, Vertex]]):
@@ -55,6 +77,7 @@ class Multigraph:
         self._index: dict[Vertex, int] | None = None
         self._typed_ids: frozenset | None = None
         self._key_rank: dict[Vertex, int] | None = None
+        self._numbering: Numbering | None = None
 
     # -- accessors ---------------------------------------------------------
 
@@ -136,6 +159,31 @@ class Multigraph:
             self._key_rank = {v: rank[key] for v, key in keys.items()}
         return self._key_rank
 
+    def numbering(self) -> Numbering:
+        """The vertices in sorted_vertices order and the edges in
+        sorted_edge_ids order, numbered from 0, with their end and incidence
+        arrays.  Built on the first call and kept."""
+        if self._numbering is None:
+            vertices = sorted_vertices(self)
+            number = {v: i for i, v in enumerate(vertices)}
+            try:
+                eids, native = sorted(self._edges), True
+            except TypeError:
+                eids, native = sorted(self._edges, key=_sort_key), False
+            ea: list[int] = []
+            eb: list[int] = []
+            at: list[list[int]] = [[] for _ in vertices]
+            for k, eid in enumerate(eids):
+                a, b = self._edges[eid]
+                a, b = number[a], number[b]
+                ea.append(a)
+                eb.append(b)
+                at[a].append(k)
+                if b != a:
+                    at[b].append(k)
+            self._numbering = Numbering(vertices, eids, ea, eb, at, native)
+        return self._numbering
+
     def subgraph_of_edges(self, eids: Iterable[EdgeId], keep_vertices: Iterable[Vertex] = ()) -> "Multigraph":
         """Subgraph induced by an edge set plus any extra isolated vertices
         (those not in this graph are dropped), vertices in host order."""
@@ -213,39 +261,45 @@ def is_connected(g: Multigraph) -> bool:
 
 def bridges(g: Multigraph) -> set[EdgeId]:
     """Edges whose removal disconnects their component, in one iterative
-    depth-first pass (Tarjan, "A note on finding the bridges of a graph",
-    IPL 2, 1974).
+    depth-first pass over the host's numbering (Tarjan, "A note on finding
+    the bridges of a graph", IPL 2, 1974).
 
-    A vertex skips the edge it was entered by, by id, so a parallel edge
-    leads back up the tree and no edge of a digon is a bridge.  A loop is
-    never a bridge.
+    A vertex skips the edge it was entered by, by number, so a parallel
+    edge leads back up the tree and no edge of a digon is a bridge.  A loop
+    is never a bridge.
     """
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
+    _, eids, ea, eb, at, _ = g.numbering()
+    index = [-1] * len(at)
+    low = [0] * len(at)
     found: set[EdgeId] = set()
-    for root in g.vertices:
-        if root in index:
+    count = 0
+    for root in range(len(at)):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
-        stack = [(root, None, iter(g.incident_edges(root)))]
+        index[root] = low[root] = count
+        count += 1
+        stack = [(root, -1, iter(at[root]))]
         while stack:
             v, via, edges = stack[-1]
-            for eid in edges:
-                if eid == via:
+            for k in edges:
+                if k == via:
                     continue
-                w = g.other_end(eid, v)
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append((w, eid, iter(g.incident_edges(w))))
+                w = ea[k] ^ eb[k] ^ v
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append((w, k, iter(at[w])))
                     break
-                low[v] = min(low[v], index[w])
+                if index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                     if low[v] > index[u]:
-                        found.add(via)
+                        found.add(eids[via])
     return found
 
 
@@ -254,28 +308,52 @@ def is_eulerian(g: Multigraph) -> bool:
     return all(g.degree(v) % 2 == 0 for v in g.vertices)
 
 
+def _forest_order(g: Multigraph) -> tuple[list[int], list[int], list[int]]:
+    """The breadth-first forest of _rooted_forest on the host's numbering:
+    (vertex numbers in visiting order, parent number, parent edge number),
+    -1 at a root."""
+    _, eids, ea, eb, at, native = g.numbering()
+    if not native:
+        # a vertex's edge ids may sort by their own order though all of
+        # them do not: keep the order sorted_edge_ids gives them there
+        rank = {eid: k for k, eid in enumerate(eids)}
+        at = [[rank[e] for e in sorted_edge_ids(eids[k] for k in ks)] for ks in at]
+    parent = [-2] * len(at)
+    parent_edge = [-1] * len(at)
+    order: list[int] = []
+    for start in range(len(at)):
+        if parent[start] != -2:
+            continue
+        parent[start] = -1
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):  # read front to back as it grows
+            v = order[head]
+            head += 1
+            for k in at[v]:
+                w = ea[k] ^ eb[k] ^ v
+                if parent[w] == -2:
+                    parent[w] = v
+                    parent_edge[w] = k
+                    order.append(w)
+    return order, parent, parent_edge
+
+
 def _rooted_forest(g: Multigraph):
     """BFS forest rooted at the smallest vertex of each component.
 
     Returns (parent vertex map, parent edge map); roots map to None.
     Deterministic: vertices and incident edges visited in sorted order.
     """
-    parent: dict[Vertex, Vertex | None] = {}
-    parent_edge: dict[Vertex, EdgeId | None] = {}
-    for start in sorted_vertices(g):
-        if start in parent:
-            continue
-        parent[start] = None
-        parent_edge[start] = None
-        queue = [start]
-        for v in queue:  # read front to back as it grows, with no pop(0)
-            for eid in sorted_edge_ids(g.incident_edges(v)):
-                w = g.other_end(eid, v)
-                if w not in parent:
-                    parent[w] = v
-                    parent_edge[w] = eid
-                    queue.append(w)
-    return parent, parent_edge
+    vertices, eids = g.numbering()[:2]
+    order, parent, parent_edge = _forest_order(g)
+    parent_map: dict[Vertex, Vertex | None] = {}
+    edge_map: dict[Vertex, EdgeId | None] = {}
+    for v in order:
+        root = parent[v] < 0
+        parent_map[vertices[v]] = None if root else vertices[parent[v]]
+        edge_map[vertices[v]] = None if root else eids[parent_edge[v]]
+    return parent_map, edge_map
 
 
 def suppress_degree2(h: Multigraph) -> tuple[Multigraph, dict[EdgeId, tuple[EdgeId, ...]]]:

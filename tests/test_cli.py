@@ -617,6 +617,39 @@ def test_corpus_refuses_a_bad_worker_count(monkeypatch, capsys, env, argv):
     assert "worker count" in assert_one_input_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [("1000000", 2, 2), ("1000000", 64, 3), ("2", 64, 2), ("4", None, 0)],
+    ids=["cpus", "tasks", "jobs", "no-cpu-count"],
+)
+def test_corpus_starts_no_more_workers_than_tasks_or_cpus(monkeypatch, capsys, jobs, cpus, workers):
+    """--jobs caps the pool: it starts min(jobs, tasks, CPUs) processes,
+    and runs in this process when that is 1.  The pool is a stand-in that
+    records its size and maps in this process."""
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["corpus", "--max-vertices", "4", "--jobs", jobs]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"] == 3
+    assert started == ([workers] if workers else [])
+
+
 @pytest.mark.parametrize("retry_outcome", ["verified", "no_frame"])
 def test_corpus_worker_reports_both_attempts(monkeypatch, retry_outcome):
     seconds = {"two_factor": 0.25, "exhaustive": 0.5}

@@ -8,6 +8,8 @@ import pytest
 
 from kotzigcdc.errors import GraphFormatError
 from kotzigcdc.io import (
+    _ascii,
+    _decode_number,
     graph_from_json,
     graph_to_json,
     load_graphs,
@@ -16,6 +18,7 @@ from kotzigcdc.io import (
     save_graph_json,
 )
 from kotzigcdc.catalog import k4, petersen
+from kotzigcdc.multigraph import Multigraph
 
 
 def edge_set(g):
@@ -105,6 +108,151 @@ def test_graph6_short_data_still_rejected():
 def test_graph6_rejects_sparse6():
     with pytest.raises(GraphFormatError):
         parse_graph6(":Fa@x^")
+
+
+# -- the per-bit decoders, kept as the referees -----------------------------------
+
+
+def referee_bit_stream(data: bytes, pos: int):
+    for byte in data[pos:]:
+        val = byte - 63
+        if val < 0 or val > 63:
+            raise GraphFormatError("invalid data byte")
+        for shift in range(5, -1, -1):
+            yield (val >> shift) & 1
+
+
+def referee_parse_graph6(line):
+    """parse_graph6 as it was: every adjacency bit pulled from a generator
+    that checks each byte as it reaches it."""
+    data = _ascii(line).strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if data.startswith(b":"):
+        raise GraphFormatError("input is sparse6, not graph6")
+    n, pos = _decode_number(data, 0)
+    matrix_bits = n * (n - 1) // 2
+    extra = len(data) - pos - (matrix_bits + 5) // 6
+    if extra > 0:
+        raise GraphFormatError(f"graph6 data runs {extra} bytes past the adjacency matrix")
+    padding = -matrix_bits % 6
+    last = data[-1] - 63
+    if extra == 0 and padding and 0 <= last <= 63 and last & ((1 << padding) - 1):
+        raise GraphFormatError("graph6 padding bits are not 0")
+    bits = referee_bit_stream(data, pos)
+    edges = []
+    try:
+        for j in range(1, n):
+            for i in range(j):
+                if next(bits):
+                    edges.append((len(edges), i, j))
+    except StopIteration:
+        raise GraphFormatError("graph6 data too short") from None
+    return Multigraph(range(n), edges)
+
+
+def referee_parse_sparse6(line):
+    """parse_sparse6 as it was: the bits listed one by one, each k-bit
+    field summed bit by bit."""
+    data = _ascii(line).strip()
+    if data.startswith(b">>sparse6<<"):
+        data = data[len(b">>sparse6<<"):]
+    if not data.startswith(b":"):
+        raise GraphFormatError("sparse6 line must start with ':'")
+    n, pos = _decode_number(data, 1)
+    k = max(1, (n - 1).bit_length())
+    bits = list(referee_bit_stream(data, pos))
+    edges = []
+    v = i = 0
+    while i + k < len(bits):
+        b = bits[i]
+        x = 0
+        for bit in bits[i + 1 : i + 1 + k]:
+            x = (x << 1) | bit
+        i += 1 + k
+        if b:
+            v += 1
+        if v >= n:
+            break
+        if x > v:
+            v = x
+        else:
+            edges.append((len(edges), x, v))
+    return Multigraph(range(n), edges)
+
+
+def outcome(parse, line):
+    """The vertices and edge list a parser returns, or its error type and text."""
+    try:
+        g = parse(line)
+    except Exception as exc:  # the referee may fail in any way; so must the parser
+        return type(exc), str(exc)
+    return g.vertices, g.edges()
+
+
+def seeded_lines(rng: random.Random, count: int):
+    """graph6 and sparse6 lines of seeded random multigraphs, the graph6
+    line of each one's simple part, and byte-fuzzed copies of both."""
+    for _ in range(count):
+        n = rng.choice([0, 1, 2, rng.randint(3, 70)])
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(n))
+        if n:
+            h.add_edges_from((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n)))
+        simple = nx.Graph(h)
+        simple.remove_edges_from(nx.selfloop_edges(simple))
+        for line in (nx.to_graph6_bytes(simple, header=False), nx.to_sparse6_bytes(h, header=False)):
+            yield line
+            fuzzed = bytearray(line.strip())
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(fuzzed) + 1)
+                action = rng.randrange(4)
+                if action == 0 and at < len(fuzzed):
+                    fuzzed[at] = rng.randrange(256)
+                elif action == 1:
+                    fuzzed.insert(at, rng.choice([rng.randrange(256), rng.randrange(63, 127)]))
+                elif action == 2 and at < len(fuzzed):
+                    del fuzzed[at]
+                else:
+                    del fuzzed[at:]
+            yield bytes(fuzzed)
+
+
+def test_decoders_match_the_per_bit_referees():
+    """The same vertices and edge lists, or the same error type and text,
+    on seeded valid graph6 and sparse6 lines and on byte-fuzzed ones."""
+    errors = set()
+    for line in seeded_lines(random.Random(23), 600):
+        for parse, referee in ((parse_graph6, referee_parse_graph6), (parse_sparse6, referee_parse_sparse6)):
+            want = outcome(referee, line)
+            assert outcome(parse, line) == want
+            if isinstance(want[0], type):
+                errors.add(want[1])
+    assert len(errors) >= 8
+
+
+def test_sparse6_round_trips_multigraphs_with_loops_and_parallel_edges():
+    """Seeded multigraphs come back from networkx's sparse6 writer with
+    every loop and parallel edge, and their simple parts from its graph6
+    writer."""
+    rng = random.Random(24)
+    loops = parallel = 0
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n)))
+        pairs = sorted(tuple(sorted(e)) for e in h.edges())
+        mine = parse_sparse6(nx.to_sparse6_bytes(h, header=False))
+        assert mine.num_vertices() == n and edge_set(mine) == pairs
+        simple = sorted({(a, b) for a, b in pairs if a != b})
+        h_simple = nx.Graph()
+        h_simple.add_nodes_from(range(n))
+        h_simple.add_edges_from(simple)
+        assert edge_set(parse_graph6(nx.to_graph6_bytes(h_simple, header=False))) == simple
+        loops += any(a == b for a, b in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+    assert loops > 150 and parallel > 100
 
 
 def test_json_round_trip(tmp_path):

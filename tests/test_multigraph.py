@@ -187,22 +187,74 @@ def referee_rooted_forest(g: Multigraph):
     return parent, parent_edge
 
 
-def test_rooted_forest_matches_the_popping_referee():
-    """The same visiting order and the same parent and parent-edge maps,
-    down to dict order, on seeded multigraphs with loops, parallel edges,
-    several components and int, str, tuple or mixed vertex and edge ids."""
-    rng = random.Random(3)
+def seeded_multigraphs(seed: int, count: int):
+    """Seeded multigraphs with loops, parallel edges, several components
+    and int, str, tuple or mixed vertex and edge ids."""
+    rng = random.Random(seed)
     names = (lambda k: k, lambda k: f"v{k}", lambda k: (k, "t"), lambda k: (k, f"m{k}", (k, "t"))[k % 3])
-    loops = parallel = 0
-    for _ in range(300):
+    for _ in range(count):
         n = rng.randint(1, 12)
         vname, ename = rng.choice(names), rng.choice(names)
         vertices = [vname(k) for k in rng.sample(range(n), n)]
         edges = [(ename(k), rng.choice(vertices), rng.choice(vertices)) for k in range(rng.randint(0, 2 * n))]
         edges += [(ename(len(edges) + k), a, b) for k, (_, a, b) in enumerate(edges[: rng.randint(0, 3)])]
-        g = Multigraph(vertices, edges)
+        yield Multigraph(vertices, edges)
+
+
+def test_rooted_forest_matches_the_popping_referee():
+    """The same visiting order and the same parent and parent-edge maps,
+    down to dict order, on seeded multigraphs with loops, parallel edges,
+    several components and int, str, tuple or mixed vertex and edge ids."""
+    loops = parallel = 0
+    for g in seeded_multigraphs(3, 300):
         loops += g.has_loops()
-        parallel += len({frozenset((a, b)) for _, a, b in edges}) < len(edges)
+        parallel += len({frozenset(g.endpoints(e)) for e in g.edge_ids}) < g.num_edges()
         new, old = _rooted_forest(g), referee_rooted_forest(g)
         assert [list(d.items()) for d in new] == [list(d.items()) for d in old]
     assert loops > 100 and parallel > 100
+
+
+def referee_bridges(g: Multigraph) -> set:
+    """bridges as it was: the depth-first pass on dicts keyed by vertex,
+    each far end found through other_end."""
+    index: dict = {}
+    low: dict = {}
+    found: set = set()
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [(root, None, iter(g.incident_edges(root)))]
+        while stack:
+            v, via, edges = stack[-1]
+            for eid in edges:
+                if eid == via:
+                    continue
+                w = g.other_end(eid, v)
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, eid, iter(g.incident_edges(w))))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > index[u]:
+                        found.add(via)
+    return found
+
+
+def test_bridges_and_forest_match_the_dict_walking_referees():
+    """The numbered bridge pass and forest give the referees' bridge set
+    and forest dicts, down to key order, on seeded multigraphs (int, str,
+    tuple and mixed ids) and on the cubic corpus up to 10 vertices; a
+    second call reads the numbering the first one kept."""
+    found = 0
+    for g in [*seeded_multigraphs(4, 400), *cubic_corpus(10)]:
+        assert bridges(g) == referee_bridges(g) == bridges(g)
+        found += bool(bridges(g))
+        new, old = _rooted_forest(g), referee_rooted_forest(g)
+        assert [list(d.items()) for d in new] == [list(d.items()) for d in old]
+    assert found > 200
