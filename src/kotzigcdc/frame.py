@@ -367,6 +367,7 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     def decide(k0: int, into_m: bool) -> bool:
         """Set one edge and everything it forces; False on a conflict."""
         queue = [(k0, into_m)]
+        enqueue = queue.append
         while queue:
             k, into_m = queue.pop()
             if in_m[k] is not None:
@@ -382,7 +383,9 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
                         return False
                     push((matched, v, False))
                     matched[v] = True
-                    queue.extend((j, False) for j in at[v] if in_m[j] is None)
+                    for j in at[v]:
+                        if in_m[j] is None:
+                            enqueue((j, False))
                 continue
             for v in (a, b):
                 deg = out_deg[v]
@@ -391,7 +394,9 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
                 push((out_deg, v, deg))
                 out_deg[v] = deg + 1
                 if deg == 1 and not matched[v]:
-                    queue.extend((j, True) for j in at[v] if in_m[j] is None)
+                    for j in at[v]:
+                        if in_m[j] is None:
+                            enqueue((j, True))
             end_a, end_b = path_end[a], path_end[b]
             if end_a == b:  # a and b end one path, and edge k closes it
                 if not odd_path[a]:
@@ -431,9 +436,9 @@ def even_two_factors(g: Multigraph) -> Iterator[frozenset]:
     while stack:
         top = stack[-1]
         options, i, mark, lo = top
-        while len(trail) > mark:
-            arr, j, old = trail.pop()
+        for arr, j, old in reversed(trail[mark:]):
             arr[j] = old
+        del trail[mark:]
         if options is None:
             branches = None
             yield frozenset(eids[k] for k, m in enumerate(in_m) if not m)

@@ -925,21 +925,40 @@ def relabelled(g: Multigraph, name) -> Multigraph:
     return Multigraph([name(v) for v in g.vertices], [(name(e), name(a), name(b)) for e, a, b in g.edges()])
 
 
-def test_even_two_factors_match_the_dict_keyed_referee():
-    """The same factors in the same order as the referee: whole lists on
-    the cubic corpus up to 10 vertices, and the first five on seeded cubic
-    graphs of 12 to 40 vertices under int, str, tuple and mixed ids.  On
-    J21 both give up with the same text."""
+class CountingBudget(int):
+    """TAIT_SEARCH_BUDGET's value, counting how often a search compares its
+    branch count with it: once per branch tried before the first factor."""
+
+    reads = 0
+
+    def __lt__(self, other):  # ``branches > budget`` lands here
+        self.reads += 1
+        return int(self) < other
+
+
+def test_even_two_factors_match_the_dict_keyed_referee(monkeypatch):
+    """The same factors in the same order as the referee, after the same
+    number of branches: whole lists on the cubic corpus up to 10 vertices,
+    and the first five on seeded cubic graphs of 12 to 40 vertices under
+    int, str, tuple and mixed ids.  On J21 both give up with the same
+    text."""
+
+    def run(search, g, count=None):
+        budget = CountingBudget(frame_module.TAIT_SEARCH_BUDGET)
+        monkeypatch.setattr(frame_module, "TAIT_SEARCH_BUDGET", budget)
+        return list(itertools.islice(search(g), count)), budget.reads
+
     for g in cubic_corpus(10):
-        assert list(even_two_factors(g)) == list(referee_even_two_factors(g))
+        assert run(even_two_factors, g) == run(referee_even_two_factors, g)
     rng = random.Random(23)
     for g in seeded_cubic_graphs(range(12, 41, 4), range(1, 4)):
         perm = rng.sample(range(10 * g.num_edges()), g.num_edges())
         names = (perm.__getitem__, lambda k: f"v{k}", lambda k: (k, "t"), lambda k: (k, f"m{k}", (k, "t"))[k % 3])
         for name in names:
             h = relabelled(g, name)
-            first = list(itertools.islice(even_two_factors(h), 5))
-            assert first and first == list(itertools.islice(referee_even_two_factors(h), 5))
+            first = run(even_two_factors, h, 5)
+            assert first[0] and first == run(referee_even_two_factors, h, 5)
+    monkeypatch.undo()
     errors = []
     for search in (even_two_factors, referee_even_two_factors):
         with pytest.raises(OracleLimitError) as info:

@@ -204,9 +204,14 @@ def seeded_multigraphs(seed: int, count: int):
 def test_rooted_forest_matches_the_popping_referee():
     """The same visiting order and the same parent and parent-edge maps,
     down to dict order, on seeded multigraphs with loops, parallel edges,
-    several components and int, str, tuple or mixed vertex and edge ids."""
+    several components and int, str, tuple or mixed vertex and edge ids,
+    and on the cubic corpus up to 10 vertices."""
+    # the edge ids sort by (type name, repr) as a whole, but at vertex 0
+    # they are all ints and sorted_edge_ids sorts them by value: 9 first
+    mixed = Multigraph([0, 1, 2], [(9, 0, 1), (10, 0, 2), ("a", 1, 2)])
+    assert list(_rooted_forest(mixed)[0]) == [0, 1, 2]
     loops = parallel = 0
-    for g in seeded_multigraphs(3, 300):
+    for g in [*seeded_multigraphs(3, 300), *cubic_corpus(10), mixed]:
         loops += g.has_loops()
         parallel += len({frozenset(g.endpoints(e)) for e in g.edge_ids}) < g.num_edges()
         new, old = _rooted_forest(g), referee_rooted_forest(g)
@@ -246,15 +251,12 @@ def referee_bridges(g: Multigraph) -> set:
     return found
 
 
-def test_bridges_and_forest_match_the_dict_walking_referees():
-    """The numbered bridge pass and forest give the referees' bridge set
-    and forest dicts, down to key order, on seeded multigraphs (int, str,
-    tuple and mixed ids) and on the cubic corpus up to 10 vertices; a
-    second call reads the numbering the first one kept."""
+def test_bridges_match_the_dict_walking_referee():
+    """The numbered bridge pass gives the referee's bridge set on seeded
+    multigraphs (int, str, tuple and mixed ids) and on the cubic corpus up
+    to 10 vertices; a second call reads the numbering the first one kept."""
     found = 0
     for g in [*seeded_multigraphs(4, 400), *cubic_corpus(10)]:
         assert bridges(g) == referee_bridges(g) == bridges(g)
         found += bool(bridges(g))
-        new, old = _rooted_forest(g), referee_rooted_forest(g)
-        assert [list(d.items()) for d in new] == [list(d.items()) for d in old]
     assert found > 200

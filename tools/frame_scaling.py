@@ -36,10 +36,7 @@ from kotzigcdc.multigraph import Multigraph, bridges  # noqa: E402
 class CountingBudget(int):
     """An int that counts how often a larger-than test reads it."""
 
-    def __new__(cls, value: int):
-        budget = super().__new__(cls, value)
-        budget.reads = 0
-        return budget
+    reads = 0
 
     def __lt__(self, other):  # ``branches > budget`` lands here
         self.reads += 1
