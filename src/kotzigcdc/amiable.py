@@ -289,9 +289,6 @@ def _piece_front(r: RowGraph, cols: list[int], special: int | None, front: dict)
     first busy vertex to the front, and the far end of that vertex's first
     edge comes to the front too, so the edge lies in row 1; every other
     column brings its first idle row.  Returns that edge's id, or None."""
-    for j in cols:
-        if j != special and len(_busy_vertices(r, j)) > 1:
-            raise HypothesisError(f"column {j} has more than one busy vertex")
     anchor = None
     busy = [] if special is None else _busy_vertices(r, special)
     if len(busy) >= 2:
@@ -339,6 +336,16 @@ def construct_amiable_two_busy_columns(
     concentrated-row construction applies; otherwise each piece of the
     column contraction chooses its own front rows, and the engine runs once
     on all of them.
+
+    Once every column but p and q is checked, neither branch meets a column
+    it cannot serve.  A column off the path has at most one busy vertex, so
+    at least one idle row to bring to the front.  When no path joins the
+    columns, p and q lie in different pieces of the column contraction: a
+    contraction path that meets p and q only at its ends passes through
+    columns with one busy vertex, where its two edges meet at that vertex,
+    so it lifts to a path of the row graph.  Each piece therefore holds at
+    most one of p and q, and every other column of it has at most one busy
+    vertex.
     """
     trace = trace or ConstructionTrace()
     if p == q or p not in range(1, r.s + 1) or q not in range(1, r.s + 1):
@@ -358,12 +365,8 @@ def construct_amiable_two_busy_columns(
         assert len(set(cols_seen)) == len(cols_seen), "shortest path revisits a column"
         chosen = {v[1]: v[0] for v in path}
         for j in range(1, r.s + 1):
-            if j in chosen:
-                continue
-            idle = _first_idle_row(r, j)
-            if idle is None:
-                raise HypothesisError(f"column {j} must contain two isolated vertices")
-            chosen[j] = idle
+            if j not in chosen:
+                chosen[j] = _first_idle_row(r, j)
         trace.record("path_to_front", path=[list(v) for v in path])
         return _run_engine(r, trace, chosen)
 
@@ -539,26 +542,6 @@ def parity_to_amiable(r: RowGraph, phi: ParityColoring) -> AmiableColoring:
 # -- frame-level normalization and the full constructive path --------------------
 
 
-def permute_component_colors(
-    frame: Frame, coloring: PerfectColoring, perms: dict[int, dict[int, int]]
-) -> PerfectColoring:
-    """The coloring with the colors of each component whose label is in
-    perms renamed by that component's permutation; both maps are copied
-    once, whatever the number of components."""
-    vc = dict(coloring.vertex_color)
-    ec = dict(coloring.edge_color)
-    for comp in frame.components:
-        perm = perms.get(comp.label)
-        if perm is None:
-            continue
-        for v in comp.vertices:
-            if v in vc:
-                vc[v] = perm[vc[v]]
-        for e in comp.edge_ids:
-            ec[e] = perm[ec[e]]
-    return PerfectColoring(vertex_color=vc, edge_color=ec)
-
-
 def normalize_frame_coloring(
     frame: Frame, coloring: PerfectColoring, witness: Witness, trace: ConstructionTrace | None = None
 ) -> tuple[Frame, PerfectColoring, frozenset, int]:
@@ -589,13 +572,8 @@ def normalize_frame_coloring(
     if witness.color != 1:
         trace.record("witness_color_swap", swap=[witness.color, 1])
 
-    label_of = frame.label_of
+    label_of, ends = frame.label_of, frame.free_ends
     comp_by_label = {c.label: c for c in frame.components}
-    ends: dict = {label: [] for label in comp_by_label}  # label -> (near, far) per free edge
-    for eid in frame.free_edges:
-        a, b = frame.host.endpoints(eid)
-        ends[label_of[a]].append((a, b))
-        ends[label_of[b]].append((b, a))
 
     def paint(label: int, color: int) -> None:
         comp = comp_by_label[label]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .amiable import ConstructionTrace, permute_component_colors
+from .amiable import ConstructionTrace
 from .errors import ConstructionInvariantError, GraphFormatError, HypothesisError
 from .frame import Frame, PerfectColoring
 from .multigraph import EdgeId, Multigraph, _sort_key, sorted_edge_ids
@@ -231,21 +231,6 @@ def two_cycle_cover_even(
     return cycles_a, cycles_b
 
 
-def fold_vertex_coloring(
-    f: Frame, coloring: PerfectColoring, amiable: AmiableColoring
-) -> PerfectColoring:
-    """Push the amiable vertex coloring into the frame coloring so that the
-    rebuilt row graph carries the identity vertex coloring.
-
-    Permuting the colors inside one component exactly renames the rows of
-    its column, so the column-wise permutations read off f do the job.
-    """
-    perms = {
-        comp.label: {i: amiable.f[(i, comp.label)] for i in (1, 2, 3)} for comp in f.components
-    }
-    return permute_component_colors(f, coloring, perms)
-
-
 def _require_row_graph(g: Multigraph, f: Frame, coloring: PerfectColoring, r: RowGraph) -> None:
     """Raise HypothesisError unless r is the row graph build_row_graph
     gives for (g, f, coloring), read in one pass over its edges."""
@@ -278,24 +263,31 @@ def construct_6cdc(
     returns them.  The caller verifies it (verify_cdc), as run_pipeline
     does.
 
-    After fold_vertex_coloring the edge coloring amiable.g is amiable, with
-    the identity vertex coloring, on the row graph of the folded coloring:
-    the fold renames the rows of each column as amiable.f does.
+    Each color is read through amiable.f: a frame edge or chord end of
+    color i in the component labelled j takes color f[(i, j)].  Renaming
+    the colors inside one component keeps the coloring perfect and renames
+    the rows of its column as f does, so amiable.g is amiable, with the
+    identity vertex coloring, on the row graph of the renamed coloring.
     """
     trace = trace or ConstructionTrace()
     _require_row_graph(g, f, coloring, r)
     if not is_amiable(r, amiable):
         raise HypothesisError("coloring is not amiable for this row graph")
 
-    folded = fold_vertex_coloring(f, coloring, amiable)
+    rename, label_of = amiable.f, f.label_of
+    vertex_color, edge_color = coloring.vertex_color, coloring.edge_color
+    chord_ends = {
+        v: rename[vertex_color[v], label_of[v]] for eid in f.chords for v in g.endpoints(eid)
+    }
 
     # per color: the frame edges of other colors, and the free edges and
     # chords of this color
-    chord_parts = dict(zip((1, 2, 3), partition_chords(f, folded)))
+    chord_parts = dict(zip((1, 2, 3), partition_chords(f, PerfectColoring(chord_ends, {}))))
     cycle_parts: dict = {1: [], 2: [], 3: []}
-    for eid in f.frame_edges:
-        for color in OTHER_COLORS[folded.edge_color[eid]]:
-            cycle_parts[color].append(eid)
+    for comp in f.components:
+        for eid in comp.edge_ids:
+            for color in OTHER_COLORS[rename[edge_color[eid], comp.label]]:
+                cycle_parts[color].append(eid)
     matchings = {color: set(chord_parts[color]) for color in (1, 2, 3)}
     for eid in f.free_edges:
         matchings[amiable.g[eid]].add(eid)

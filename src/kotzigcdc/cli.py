@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-rows", help="scan row graphs for amiable-coloring counterexamples")
     p.add_argument("--columns", type=_count, default=2, help="max number of columns")
     p.add_argument("--max-edges", type=_count, default=6)
-    p.add_argument("--oracle-limit", type=int, default=24)
+    p.add_argument("--oracle-limit", type=_count, default=24)
     p.add_argument("--archive", help="directory for counterexample files")
     p.set_defaults(func=cmd_scan_rows)
 

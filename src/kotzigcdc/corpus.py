@@ -431,13 +431,10 @@ def connected_cubic_simple_graphs(n: int) -> tuple[Multigraph, ...]:
     return tuple(g for g in connected_cubic_multigraphs(n) if is_simple(g))
 
 
-def cubic_corpus(max_vertices: int, simple_only: bool = False) -> list[Multigraph]:
+def cubic_corpus(max_vertices: int) -> list[Multigraph]:
     _check_order(max_vertices)
     out: list[Multigraph] = []
     for n in range(2, max_vertices + 1, 2):
-        graphs = (
-            connected_cubic_simple_graphs(n) if simple_only else connected_cubic_multigraphs(n)
-        )
-        out.extend(graphs)
+        out.extend(connected_cubic_multigraphs(n))
     return out
 

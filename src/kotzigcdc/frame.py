@@ -10,7 +10,8 @@ Contracting every component to its label leaves the free edges as an
 eulerian multigraph.  Under a perfect coloring that contraction is
 the row graph (rowgraph.build_row_graph): each free edge sits at (color,
 label) at both ends, and the edges of color class c are those inside row
-c.  The well-connected witness is read off its rows.
+c.  The well-connected witness walks the free edges whose ends both have
+its color (Frame.free_ends), so it reaches one piece of that row.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .multigraph import (
     sorted_edge_ids,
     sorted_vertices,
 )
-from .rowgraph import build_row_graph, row_components
 
 C_KIND = "C"
 K_KIND = "K"
@@ -96,6 +96,19 @@ class Frame:
             for eid in sorted_edge_ids(self.host.edge_ids)
             if eid not in frame_edges and eid not in chords
         )
+
+    @cached_property
+    def free_ends(self) -> dict:
+        """Label -> the (near end, far end) pairs of the free edges at its
+        component, in free_edges order; an edge between two components is
+        listed at both, once from each end."""
+        label_of = self.label_of
+        ends: dict = {c.label: [] for c in self.components}
+        for eid in self.free_edges:
+            a, b = self.host.endpoints(eid)
+            ends[label_of[a]].append((a, b))
+            ends[label_of[b]].append((b, a))
+        return ends
 
     def k_labels(self) -> list[int]:
         return [c.label for c in self.components if c.kind == K_KIND]
@@ -213,10 +226,13 @@ def well_connected_witness(f: Frame, coloring: PerfectColoring) -> Witness | Non
     """The first color (1, 2, 3) whose edge class joins all K-vertices into
     one connected piece, together with that whole piece.
 
-    The pieces of color c are the components of row c of the row graph
-    (see build_row_graph).  With one K-vertex color 1 always works.  With
-    no K-vertex the test is trivially satisfied: the witness is color 1
-    with the one-vertex piece of the least label, not the maximal piece.
+    The piece of color c is walked from the first K-label along the free
+    edges whose ends both have color c (Frame.free_ends).  Those are the
+    edges inside row c of the row graph (see rowgraph.build_row_graph), so
+    the piece is the row-c component of that label.  With one K-vertex
+    color 1 always works.  With no K-vertex the test is trivially
+    satisfied: the witness is color 1 with the one-vertex piece of the
+    least label, not the maximal piece.
     """
     k_labels = f.k_labels()
     if len(k_labels) == 0:
@@ -224,13 +240,17 @@ def well_connected_witness(f: Frame, coloring: PerfectColoring) -> Witness | Non
         return Witness(color=1, h_labels=frozenset([anchor]))
     if not is_perfect_coloring(f, coloring):
         raise FrameError("coloring is not perfect for this frame")
-    pieces = row_components(build_row_graph(f.host, f, coloring))
+    label_of, free_ends, vertex_color = f.label_of, f.free_ends, coloring.vertex_color
     for color in (1, 2, 3):
-        for piece in pieces:
-            if piece[0][0] == color:
-                labels = frozenset(j for _, j in piece)
-                if labels.issuperset(k_labels):
-                    return Witness(color=color, h_labels=labels)
+        piece, todo = {k_labels[0]}, [k_labels[0]]
+        while todo:
+            for a, b in free_ends[todo.pop()]:
+                far = label_of[b]
+                if far not in piece and vertex_color[a] == color == vertex_color[b]:
+                    piece.add(far)
+                    todo.append(far)
+        if piece.issuperset(k_labels):
+            return Witness(color=color, h_labels=frozenset(piece))
     return None
 
 

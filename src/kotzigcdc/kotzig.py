@@ -204,7 +204,6 @@ class Classification:
     kind: str
     base: Multigraph | None = None
     path_map: dict | None = None  # base edge id -> tuple of component edge ids
-    witness_coloring: dict | None = None  # a Kotzig coloring of the base
 
 
 CYCLE_CLASSIFICATION = Classification(kind=CYCLE)  # the one every cycle shares
@@ -231,12 +230,9 @@ def classify_component(h: Multigraph) -> Classification:
         return Classification(kind=NEITHER)
     if base.has_loops():
         return Classification(kind=NEITHER)
-    coloring = find_kotzig_coloring(base)
-    if coloring is None:
+    if find_kotzig_coloring(base) is None:
         return Classification(kind=NEITHER)
-    return Classification(
-        kind=KOTZIG_SUBDIVISION, base=base, path_map=path_map, witness_coloring=coloring
-    )
+    return Classification(kind=KOTZIG_SUBDIVISION, base=base, path_map=path_map)
 
 
 # -- perfect colorings of a single component ---------------------------------

@@ -1031,7 +1031,7 @@ def _component_key(c):
     cls = c.classification
     base = None if cls.base is None else (list(cls.base.vertices), cls.base.edges())
     return (c.label, c.kind, c.vertices, c.edge_ids,
-            (cls.kind, base, cls.path_map, cls.witness_coloring))
+            (cls.kind, base, cls.path_map))
 
 
 def _relabel_cases():

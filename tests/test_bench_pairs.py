@@ -47,3 +47,20 @@ def test_summary_of_one_pair_and_the_seed_ranges():
     assert summary["item_p50_ms"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert summary["item_p50_ms"]["change_better"] == 0
     assert bench_pairs.parse_seeds("9901-9903,9910") == [9901, 9902, 9903, 9910]
+
+
+def test_failures_are_summed_per_side():
+    runs = [
+        {"parent": {"failed": 1, "attempted": 7, "correct": True},
+         "change": {"failed": 1, "attempted": 7, "correct": True}},
+        {"parent": {"failed": 2, "attempted": 14, "correct": True},
+         "change": {"failed": 3, "attempted": 14, "correct": False}},
+    ]
+    totals = bench_pairs.failures(runs)
+    assert totals["parent"] == {"failed": 3, "attempted": 21, "failed_share": pytest.approx(1 / 7),
+                                "all_correct": True}
+    assert totals["change"] == {"failed": 4, "attempted": 21, "failed_share": pytest.approx(4 / 21),
+                                "all_correct": False}
+    assert bench_pairs.failures([{"parent": {"failed": 0, "attempted": 0, "correct": True},
+                                  "change": {"failed": 0, "attempted": 0, "correct": True}}]
+                                )["change"]["failed_share"] is None

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kotzigcdc import cdc, cli
-from kotzigcdc.amiable import amiable_coloring_for_frame, identity_f
+from kotzigcdc.amiable import ConstructionTrace, amiable_coloring_for_frame, identity_f
 from kotzigcdc.catalog import cube_graph, cycle_graph, k4, path_graph, petersen, prism, theta_graph
 from kotzigcdc.cdc import (
+    OTHER_COLORS,
     CdcCertificate,
     CdcReport,
     construct_6cdc,
@@ -31,6 +32,7 @@ from kotzigcdc.multigraph import (
     sorted_vertices,
 )
 from kotzigcdc.rowgraph import AmiableColoring, RowGraph, build_row_graph, is_amiable
+from tests.folding import fold_vertex_coloring
 from tests.test_frame import monochromatic_coloring
 
 
@@ -177,7 +179,6 @@ def test_k_component_cycles_lift_base_hamiltonians():
     """Within a K-component, the edges avoiding one color form the lift of
     a spanning cycle of the base Kotzig graph."""
     from kotzigcdc.amiable import amiable_coloring_for_frame
-    from kotzigcdc.cdc import fold_vertex_coloring
     from kotzigcdc.multigraph import components as graph_components
 
     g = petersen()
@@ -858,10 +859,11 @@ def test_assembly_and_verification_work_is_linear(n, monkeypatch):
 
 
 def test_row_graph_and_free_edges_are_derived_once(monkeypatch):
-    """One user_supplied run on a planted frame builds two row graphs, one
-    for the witness and one for the normalised frame that construct_6cdc
-    reads too, and sorts the host's edge ids for the free edges once per
-    Frame: the validated frame and its relabelled copy."""
+    """One user_supplied run on a planted frame builds one row graph, for
+    the normalised frame that construct_6cdc reads too (the witness walks
+    the validated frame's free edges), and sorts the host's edge ids for
+    the free edges once per Frame: the validated frame and its relabelled
+    copy."""
     from kotzigcdc import amiable, frame as frame_module, rowgraph
 
     g, frame_edges = planted_host(400, random.Random(400), k4s=2)
@@ -896,7 +898,7 @@ def test_row_graph_and_free_edges_are_derived_once(monkeypatch):
     report = run_pipeline(g, strategy="user_supplied", frame_edges=frame_edges)
     monkeypatch.undo()
     assert report.outcome == "verified"
-    assert len(builds) == 2 and builds[0] is frames[0] and builds[1] is frames[1]
+    assert len(builds) == 1 and builds[0] is frames[1]
     assert len(frames) == 2 and len(host_sorts) == 2
 
 
@@ -935,11 +937,12 @@ def test_pipeline_on_frames_with_several_k_components():
 
 def test_folding_the_vertex_coloring_keeps_amiability():
     """construct_6cdc reads each free edge's class off amiable.g on the row
-    graph of the folded coloring, with no second check: the fold renames
-    the rows of each column as amiable.f does, so amiable.g stays amiable
-    there under the identity vertex coloring.  Checked on every bridgeless
-    graph up to 10 vertices (two_factor, then exhaustive, as the corpus
-    command runs them) and on seeded frames with several K4 subdivisions."""
+    graph of the coloring renamed through amiable.f, with no second check:
+    renaming each component's colors renames the rows of its column as
+    amiable.f does, so amiable.g stays amiable there under the identity
+    vertex coloring.  Checked on every bridgeless graph up to 10 vertices
+    (two_factor, then exhaustive, as the corpus command runs them) and on
+    seeded frames with several K4 subdivisions."""
     built = []
     for g in cubic_corpus(10):
         found = first_amiable(g) or first_amiable(g, "exhaustive")
@@ -950,6 +953,55 @@ def test_folding_the_vertex_coloring_keeps_amiability():
         if found is not None:
             built.append((g, found))
     for g, (f2, col2, _, amiable, _) in built:
-        r2 = build_row_graph(g, f2, cdc.fold_vertex_coloring(f2, col2, amiable))
+        r2 = build_row_graph(g, f2, fold_vertex_coloring(f2, col2, amiable))
         assert is_amiable(r2, AmiableColoring(f=identity_f(r2), g=amiable.g))
     assert len(built) == 90 + 20
+
+
+def folding_construct_6cdc(g, f, coloring, r, amiable, trace):
+    """construct_6cdc as it was before it read colours through amiable.f:
+    the whole colouring folded first (fold_vertex_coloring)."""
+    folded = fold_vertex_coloring(f, coloring, amiable)
+    chord_parts = dict(zip((1, 2, 3), partition_chords(f, folded)))
+    cycle_parts: dict = {1: [], 2: [], 3: []}
+    for eid in f.frame_edges:
+        for color in OTHER_COLORS[folded.edge_color[eid]]:
+            cycle_parts[color].append(eid)
+    matchings = {color: set(chord_parts[color]) for color in (1, 2, 3)}
+    for eid in f.free_edges:
+        matchings[amiable.g[eid]].add(eid)
+    trace.record("j_decomposition", chords={c: sorted_edge_ids(chord_parts[c]) for c in (1, 2, 3)})
+    classes = {}
+    for color in (1, 2, 3):
+        cycles_a, cycles_b = two_cycle_cover_even(g, cycle_parts[color], matchings[color])
+        classes[f"{color}a"] = tuple(cycles_a)
+        classes[f"{color}b"] = tuple(cycles_b)
+    return CdcCertificate(classes=classes)
+
+
+def test_construct_6cdc_matches_the_folding_referee():
+    """Reading each colour through amiable.f gives the referee's
+    certificate JSON and trace on every graph of cubic_corpus(10) that gets
+    an amiable colouring (two_factor, then exhaustive) and on seeded
+    planted frames with one to three K4 subdivisions, chords included."""
+    built = []
+    for g in cubic_corpus(10):
+        found = first_amiable(g) or first_amiable(g, "exhaustive")
+        if found is not None:
+            built.append((g, found))
+    for seed in range(30):
+        rng = random.Random(seed)
+        k4s = 1 + seed % 3
+        g, frame_edges = planted_host(16 * k4s + rng.choice((0, 4, 8, 12, 40)), rng, k4s)
+        found = first_amiable(g, "user_supplied", frame_edges)
+        if found is not None:
+            built.append((g, found))
+    chords = 0
+    for g, (f2, col2, r, amiable, _) in built:
+        trace, ref_trace = ConstructionTrace(), ConstructionTrace()
+        cert = construct_6cdc(g, f2, col2, r, amiable, trace)
+        ref = folding_construct_6cdc(g, f2, col2, r, amiable, ref_trace)
+        assert json.dumps(cert.to_json()) == json.dumps(ref.to_json())
+        assert trace.steps == ref_trace.steps
+        chords += bool(f2.chords)
+    assert (len(built), chords) == (90 + 30, 112)

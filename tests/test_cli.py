@@ -452,6 +452,7 @@ USAGE_ERRORS = {
     "negative-columns": (["scan-rows", "--columns", "-3"], "--columns: '-3' is not a non-negative integer"),
     "negative-max-edges": (["scan-rows", "--max-edges", "-1"], "--max-edges: '-1' is not a non-negative integer"),
     "negative-max-vertices": (["corpus", "--max-vertices", "-2"], "--max-vertices: '-2' is not a non-negative integer"),
+    "negative-oracle-limit": (["scan-rows", "--oracle-limit", "-1"], "--oracle-limit: '-1' is not a non-negative integer"),
 }
 
 

@@ -44,7 +44,7 @@ from kotzigcdc.multigraph import (
     sorted_edge_ids,
     sorted_vertices,
 )
-from kotzigcdc.rowgraph import build_row_graph, row_contract
+from kotzigcdc.rowgraph import build_row_graph, row_components, row_contract
 
 # bridgeless, 3-edge-connected and not 3-edge-colourable: no even 2-factor
 NOT_COLOURABLE_20 = "S_?S@DCA@?aAo?A??GO?@Ga??DOHA?o?_"
@@ -461,6 +461,73 @@ def test_three_k_triangle_has_no_witness():
     assert find_well_connected_frame_coloring(f) is None
 
 
+def row_graph_witness(f: Frame, coloring: PerfectColoring) -> Witness | None:
+    """well_connected_witness as it was before it walked Frame.free_ends:
+    the pieces of color c are the components of row c of the whole row
+    graph."""
+    k_labels = f.k_labels()
+    if len(k_labels) == 0:
+        anchor = min(c.label for c in f.components)
+        return Witness(color=1, h_labels=frozenset([anchor]))
+    if not is_perfect_coloring(f, coloring):
+        raise FrameError("coloring is not perfect for this frame")
+    pieces = row_components(build_row_graph(f.host, f, coloring))
+    for color in (1, 2, 3):
+        for piece in pieces:
+            if piece[0][0] == color:
+                labels = frozenset(j for _, j in piece)
+                if labels.issuperset(k_labels):
+                    return Witness(color=color, h_labels=labels)
+    return None
+
+
+def witness_referee_frames():
+    """The hand-built frames with two and three K-components and the cube's
+    two squares, every exhaustive frame of cubic_corpus(8), and planted
+    frames with two to four K4 subdivisions."""
+    from tests.test_cdc import planted_host, planted_multi_k_hosts
+
+    yield validate_frame(double_theta_graph(), range(10))
+    yield validate_frame(triple_theta_triangle(), range(15))
+    yield cube_two_squares_frame()[1]
+    for g in cubic_corpus(8):
+        yield from search_frames(g, "exhaustive")
+    for g, frame_edges in planted_multi_k_hosts(range(20)):
+        yield validate_frame(g, frame_edges)
+    for seed in range(4):
+        rng = random.Random(seed)
+        yield validate_frame(*planted_host(64 + rng.choice((0, 4, 8, 12)), rng, 4))
+
+
+def test_witness_matches_the_row_graph_referee():
+    """The witness is the referee's on every perfect coloring of every
+    frame here, None included."""
+    frames = colorings = 0
+    found = {None: 0, 1: 0, 2: 0, 3: 0}
+    for f in witness_referee_frames():
+        for coloring in enumerate_frame_colorings(f):
+            witness = well_connected_witness(f, coloring)
+            assert witness == row_graph_witness(f, coloring)
+            found[None if witness is None else witness.color] += 1
+            colorings += 1
+        frames += 1
+    assert all(found.values()), found
+    assert (frames, colorings) == (972, 5196)
+
+
+def test_free_ends_list_each_free_edge_at_both_components():
+    """Frame.free_ends holds, per label, the (near, far) ends of the free
+    edges at that component in free_edges order, an edge between two
+    components once at each, and is worked out once per Frame."""
+    for f in witness_referee_frames():
+        ends: dict = {c.label: [] for c in f.components}
+        for eid in f.free_edges:
+            a, b = f.host.endpoints(eid)
+            ends[f.label_of[a]].append((a, b))
+            ends[f.label_of[b]].append((b, a))
+        assert f.free_ends == ends and f.free_ends is f.free_ends
+
+
 def component_piece(f: Frame, comp: FrameComponent) -> Multigraph:
     """The component as a subgraph of the host, as validate_frame built it
     for every component before cycles went without one."""
@@ -585,7 +652,7 @@ def frame_key(f: Frame) -> tuple:
     vertices and edges (Multigraph compares by identity)."""
     def classified(cls):
         base = None if cls.base is None else (cls.base.vertices, cls.base.edges())
-        return cls.kind, base, cls.path_map, cls.witness_coloring
+        return cls.kind, base, cls.path_map
 
     return f.host, f.frame_edges, [
         (c.label, c.kind, c.vertices, c.edge_ids, classified(c.classification)) for c in f.components

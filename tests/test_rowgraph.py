@@ -23,7 +23,7 @@ from kotzigcdc.rowgraph import (
     row_graph_to_json,
     solve_gf2,
 )
-from kotzigcdc.amiable import permute_component_colors
+from tests.folding import permute_component_colors
 from tests.rearrangement import random_rearrangement, rearrange
 from tests.test_frame import (
     contract_frame,

@@ -9,8 +9,10 @@ even pairs and change first on odd ones, and reads the JSON object on the
 last line of each run's output.  It then writes BENCH_<pr>.json at the
 root of this repository: per workload, the runs and, for every end-to-end
 metric that BENCHMARK.json lists, each side's median and quartiles and the
-number of pairs in which the change was better.  Other workloads already
-in the file are kept, so one file gathers several invocations.
+number of pairs in which the change was better, and per side the failed
+and attempted operations summed over the pairs and whether every run was
+correct.  Other workloads already in the file are kept, so one file
+gathers several invocations.
 """
 
 from __future__ import annotations
@@ -84,6 +86,22 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def failures(runs: list[dict]) -> dict:
+    """Per side: failed and attempted operations summed over the runs, the
+    failed share and whether every run was correct."""
+    out = {}
+    for side in ("parent", "change"):
+        failed = sum(run[side]["failed"] for run in runs)
+        attempted = sum(run[side]["attempted"] for run in runs)
+        out[side] = {
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share": failed / attempted if attempted else None,
+            "all_correct": all(run[side]["correct"] for run in runs),
+        }
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
@@ -113,6 +131,7 @@ def main(argv=None) -> int:
     record["workloads"][args.workload] = {
         "seconds": args.seconds,
         "summary": summarize(runs, end_to_end),
+        "failures": failures(runs),
         "runs": [
             {"seed": run["seed"], "first": run["first"],
              **{side: {"correct": run[side]["correct"], "attempted": run[side]["attempted"],
@@ -123,6 +142,9 @@ def main(argv=None) -> int:
         ],
     }
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for side, total in record["workloads"][args.workload]["failures"].items():
+        print(f"{side}: {total['failed']} of {total['attempted']} failed, "
+              f"all correct: {total['all_correct']}")
     print(f"wrote {path.name}")
     return 0
 
